@@ -5,15 +5,13 @@ Sweeps the arrival rate over the paper's default deployment under both
 endorsement policies and prints, per phase, where throughput stops tracking
 the offered load — locating the validate-phase bottleneck (§IV.C) and the
 earlier AND knee.  Also cross-checks the measured saturation points against
-the closed-form capacity model in :mod:`repro.analysis`.
+the closed-form phase model in :mod:`repro.analysis`.
 
 Run:  python examples/bottleneck_hunt.py
 """
 
-from repro.analysis import CapacityModel
-from repro.chaincode.policy import resolve_policy_spec
-from repro.experiments.runner import run_point
-from repro.runtime.costs import CostModel
+from repro.analysis import PhaseModel
+from repro.experiments.runner import make_topology, make_workload, run_point
 
 PEERS = 10
 RATES = [100, 200, 300, 400]
@@ -34,17 +32,14 @@ def sweep(policy: str) -> None:
     print()
 
 
-def analytical(policy_spec: str, peers: int) -> None:
-    names = [f"peer{i}" for i in range(peers)]
-    policy = resolve_policy_spec(policy_spec, names)
-    capacities = CapacityModel(CostModel()).capacities(policy, peers)
-    print(f"analytical capacities for {policy_spec}: "
-          f"client={capacities.client:.0f} "
-          f"execute={capacities.execute:.0f} "
-          f"order={capacities.order:.0f} "
-          f"validate={capacities.validate:.0f} "
-          f"-> system {capacities.system:.0f} tx/s, "
-          f"bottleneck: {capacities.bottleneck}")
+def analytical(policy: str, peers: int) -> None:
+    prediction = PhaseModel(make_topology("solo", policy, peers),
+                            make_workload(RATES[0])).predict()
+    stations = " ".join(f"{station.name}={station.capacity:.0f}"
+                        for station in prediction.stations)
+    print(f"phase-model station capacities for {policy}: {stations}")
+    print(f"-> system {prediction.capacity:.0f} tx/s, "
+          f"bottleneck: {prediction.bottleneck}")
 
 
 def main() -> None:

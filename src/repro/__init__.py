@@ -22,7 +22,7 @@ Package map:
 - :mod:`repro.client` — SDK flow and open-loop workload generation.
 - :mod:`repro.fabric` — network assembly and experiment execution.
 - :mod:`repro.metrics` — the paper's throughput/latency/block-time metrics.
-- :mod:`repro.analysis` — closed-form capacity model cross-checks.
+- :mod:`repro.analysis` — the closed-form phase model and capacity planner.
 - :mod:`repro.experiments` — regeneration of every figure and table.
 """
 

@@ -1,36 +1,23 @@
-"""Analytical cross-checks: closed-form capacity, latency, and planning.
+"""Analytical cross-checks: the closed-form phase model and its planner.
 
-The simulator's saturation points should be predictable from the cost model
-alone; this package derives them so tests (and users) can check that the
-simulation agrees with first-principles queueing arguments, in the spirit of
-the SRN modelling work the paper cites as related work [18].
+The simulator's saturation points and latency distributions should be
+predictable from the cost model alone; this package derives them so
+tests (and users) can check that the simulation agrees with
+first-principles queueing arguments, in the spirit of the SRN modelling
+work the paper cites as related work [18].
 
-Two tiers live here.  The first-moment models
-(:class:`CapacityModel`, :class:`LatencyModel`) predict saturation rates
-and mean latency plateaus.  The stochastic phase model
-(:class:`PhaseModel`) composes the full execute–order–validate pipeline
-from two-moment queueing stations — per-channel latency *distributions*
-(p50/p95/p99), station-by-station utilization, and system capacity with
-cross-channel resource sharing — calibrated either straight off the cost
-model (:class:`CostFit`) or from an observed run's tracer spans
-(:class:`EmpiricalFit`).  :func:`plan_capacity` inverts it into a
-deployment plan, and ``repro crossval`` keeps it honest against the
-simulator.
+The stochastic phase model (:class:`PhaseModel`) composes the full
+execute–order–validate pipeline from two-moment queueing stations —
+per-channel latency *distributions* (p50/p95/p99), station-by-station
+utilization and capacity, the system capacity with cross-channel
+resource sharing, and the bottleneck station — calibrated either
+straight off the cost model (:class:`CostFit`) or from an observed run's
+tracer spans (:class:`EmpiricalFit`).  :func:`plan_capacity` inverts it
+into a deployment plan, and ``repro crossval`` keeps it honest against
+the simulator.
 """
 
-from repro.analysis.capacity import (
-    CapacityModel,
-    PhaseCapacities,
-    deployment_capacities,
-    deployment_system_capacity,
-)
 from repro.analysis.fit import CostFit, EmpiricalFit, ServiceMoments
-from repro.analysis.latency import (
-    LatencyBreakdown,
-    LatencyModel,
-    deployment_breakdown,
-    deployment_breakdowns,
-)
 from repro.analysis.phase_model import (
     ChannelPrediction,
     PhaseLatency,
@@ -41,6 +28,7 @@ from repro.analysis.phase_model import (
 )
 from repro.analysis.planner import CapacityPlan, PlanOption, plan_capacity
 from repro.analysis.queueing import (
+    gg1_wait,
     mg1_wait,
     mgc_wait,
     mm1_wait,
@@ -54,15 +42,11 @@ from repro.analysis.workload import (
 )
 
 __all__ = [
-    "CapacityModel",
     "CapacityPlan",
     "ChannelDemand",
     "ChannelPrediction",
     "CostFit",
     "EmpiricalFit",
-    "LatencyBreakdown",
-    "LatencyModel",
-    "PhaseCapacities",
     "PhaseLatency",
     "PhaseModel",
     "PlanOption",
@@ -70,10 +54,7 @@ __all__ = [
     "StationLoad",
     "SystemPrediction",
     "WaitDistribution",
-    "deployment_breakdown",
-    "deployment_breakdowns",
-    "deployment_capacities",
-    "deployment_system_capacity",
+    "gg1_wait",
     "mg1_wait",
     "mgc_wait",
     "mm1_wait",

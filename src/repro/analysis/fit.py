@@ -171,8 +171,7 @@ class CostFit:
 
         VSCC spreads across the worker pool; header verify, MVCC, the
         commit fsync, and the state-database batch are serial — the same
-        split as :meth:`CapacityModel.validate_capacity` and the simulated
-        :class:`~repro.peer.validator.BlockValidator`.
+        split as the simulated :class:`~repro.peer.validator.BlockValidator`.
         """
         costs = self.costs
         workers = min(costs.validator_workers, costs.peer_cores)

@@ -1,12 +1,11 @@
 """Stochastic phase model: the pipeline as a network of queueing stations.
 
-Where :class:`~repro.analysis.capacity.CapacityModel` and
-:class:`~repro.analysis.latency.LatencyModel` predict single operating
-points (saturation rates, mean latency at a given load), this module
-composes the whole execute–order–validate pipeline from two-moment
-queueing stations and produces latency *distributions* — p50/p95/p99 per
-channel and per phase — plus a station-by-station utilization and
-capacity account, in closed form:
+The repository's one closed-form model of Fabric, after Wang & Chu's
+phase decomposition.  It composes the whole execute–order–validate
+pipeline from two-moment queueing stations and produces latency
+*distributions* — p50/p95/p99 per channel and per phase — plus a
+station-by-station utilization and capacity account, the system capacity,
+and the bottleneck station, in closed form:
 
 - **execute** — each client process is an M/G/1 on its SDK event loop;
   endorsing peers are shared across channels, so each peer's proposal
@@ -19,11 +18,12 @@ capacity account, in closed form:
   exactly the BatchSize/BatchTimeout crossover the paper sweeps — plus a
   consensus round trip per orderer kind;
 - **validate** — each (peer, channel) runs a serial block pipeline
-  (matching the simulator's per-channel :class:`BlockValidator`), an
-  M/G/1 in *blocks* whose service spreads VSCC over the worker pool and
-  serialises MVCC, the ledger fsync, and the state-database batch; in the
-  timeout-cutting regime the Poisson block-size variance feeds the service
-  SCV.
+  (matching the simulator's per-channel :class:`BlockValidator`), a
+  G/G/1 in *blocks* whose service spreads VSCC over the worker pool and
+  serialises MVCC, the ledger fsync, and the state-database batch.  Block
+  cutting makes arrivals far more regular than Poisson, so the wait is
+  Kingman's with the block gap's SCV; in the timeout-cutting regime the
+  Poisson block-size variance feeds the service SCV.
 
 Cross-channel coupling appears twice: in the endorser-slot arrivals and
 in three shared per-peer stations (CPU, commit disk, the serial state-DB)
@@ -45,7 +45,7 @@ import math
 import typing
 
 from repro.analysis.fit import CostFit, ServiceMoments
-from repro.analysis.queueing import mg1_wait, mgc_wait, mmc_erlang_c
+from repro.analysis.queueing import gg1_wait, mgc_wait, mmc_erlang_c
 from repro.analysis.workload import (
     ChannelDemand,
     offered_rate,
@@ -105,12 +105,18 @@ class WaitDistribution:
     def mg1(cls, arrival_rate: float,
             service: ServiceMoments) -> "WaitDistribution":
         """M/G/1 wait (Pollaczek–Khinchine mean, P(wait) = ρ)."""
+        return cls.gg1(arrival_rate, 1.0, service)
+
+    @classmethod
+    def gg1(cls, arrival_rate: float, arrival_scv: float,
+            service: ServiceMoments) -> "WaitDistribution":
+        """G/G/1 wait (Kingman mean, P(wait) = ρ)."""
         if arrival_rate <= 0 or service.mean <= 0:
             return cls.none()
         rho = arrival_rate * service.mean
         if rho >= 1:
             return cls.saturated()
-        wait = mg1_wait(arrival_rate, service.mean, service.scv)
+        wait = gg1_wait(arrival_rate, arrival_scv, service.mean, service.scv)
         return cls(probability=rho, conditional_mean=wait / rho)
 
     @classmethod
@@ -313,6 +319,22 @@ class PhaseModel:
         if pending >= orderer.batch_size:
             return float(orderer.batch_size), 0.0
         return max(1.0, pending), pending
+
+    def _block_arrival_scv(self, rate: float) -> float:
+        """SCV of the gap between a channel's blocks (validate's ca²).
+
+        A size-cut block closes on every ``batch_size``-th Poisson
+        arrival, an Erlang gap with SCV ``1/batch_size``; a timeout-cut
+        block closes ``batch_timeout`` after the first pending arrival, a
+        gap ``T + Exp(λ)`` with SCV ``(1/λ)² / (T + 1/λ)²``.
+        """
+        orderer = self.topology.orderer
+        if rate <= 0:
+            return 1.0
+        if rate * orderer.batch_timeout >= orderer.batch_size:
+            return 1.0 / orderer.batch_size
+        idle = 1.0 / rate
+        return (idle / (orderer.batch_timeout + idle)) ** 2
 
     def _formation_window(self, rate: float) -> float:
         orderer = self.topology.orderer
@@ -538,7 +560,8 @@ class PhaseModel:
 
         # Validate: deliver -> per-channel block pipeline -> commit.
         block_service, size, blocks = self._block_service(demand, rate)
-        validate_wait = WaitDistribution.mg1(blocks, block_service)
+        validate_wait = WaitDistribution.gg1(
+            blocks, self._block_arrival_scv(rate), block_service)
         validate_mean = (net + validate_wait.mean + block_service.mean)
         validate_var = validate_wait.var + block_service.var
 

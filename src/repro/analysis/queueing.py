@@ -2,9 +2,9 @@
 
 Beyond the original M/M/1 and M/M/c helpers, this module carries the
 two-moment approximations the stochastic phase model is built on:
-Pollaczek–Khinchine for M/G/1 waits and the Allen–Cunneen correction for
-M/G/c, both parameterised by the service time's squared coefficient of
-variation (SCV).
+Pollaczek–Khinchine for M/G/1 waits, Kingman's G/G/1 generalisation for
+non-Poisson arrivals, and the Allen–Cunneen correction for M/G/c, all
+parameterised by squared coefficients of variation (SCV).
 """
 
 from __future__ import annotations
@@ -76,6 +76,26 @@ def mg1_wait(arrival_rate: float, service_mean: float,
     if rho >= 1:
         return math.inf
     return rho * service_mean * (1.0 + service_scv) / (2.0 * (1.0 - rho))
+
+
+def gg1_wait(arrival_rate: float, arrival_scv: float,
+             service_mean: float, service_scv: float) -> float:
+    """Mean G/G/1 wait (Kingman), from arrival and service SCVs.
+
+    ``rho * E[S] * (ca2 + cs2) / (2 * (1 - rho))`` with ``ca2`` the SCV of
+    the inter-arrival gap: Poisson arrivals (``ca2 = 1``) give
+    :func:`mg1_wait`, regular ones queue less.  Returns ``inf`` at or
+    beyond saturation.
+    """
+    if service_mean <= 0:
+        raise ValueError("service mean must be positive")
+    if arrival_scv < 0 or service_scv < 0:
+        raise ValueError("arrival and service SCV must be >= 0")
+    rho = arrival_rate * service_mean
+    if rho >= 1:
+        return math.inf
+    return (rho * service_mean * (arrival_scv + service_scv)
+            / (2.0 * (1.0 - rho)))
 
 
 def mgc_wait(arrival_rate: float, service_mean: float,

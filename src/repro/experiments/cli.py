@@ -14,7 +14,7 @@ Usage::
     repro check-determinism --orderer solo --statedb couchdb
     repro perfbench                    # wall-clock benchmarks, all scenarios
     repro perfbench --smoke --check-golden --out BENCH_SMOKE.json  # CI gate
-    repro trace --summary-out trace_summary.json  # critical-path + queueing
+    repro trace --summary-out trace_summary.json  # critical path + resources
     repro obs-diff --baseline BENCH_PR10.json --candidate BENCH_NEW.json
     repro crossval --smoke --out crossval.json  # analytic model vs sim gate
     repro capacity --target-tps 300 --max-p95 2.0 --policy AND5
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 import typing
@@ -43,29 +44,30 @@ EXPERIMENT_IDS = ["tab1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
 
 
 def _run_trace(args) -> int:
-    """The ``trace`` subcommand: one observed run, bottleneck report,
-    critical-path attribution, and the queueing observatory."""
-    import json
-
-    from repro.experiments.report import bottleneck_result
+    """The ``trace`` subcommand: one observed run, the per-resource report
+    with its Little's-law check, and critical-path attribution."""
     from repro.experiments.runner import run_traced_point
     from repro.obs.critical_path import render_summary
-    from repro.obs.queueing import render_queueing_report
 
+    for flag, path in (("--trace-out", args.trace_out),
+                       ("--summary-out", args.summary_out)):
+        if path is None:
+            continue
+        directory = pathlib.Path(path).parent
+        if not directory.is_dir() or not os.access(directory, os.W_OK):
+            print(f"trace: {flag} {path}: directory {directory} does not "
+                  f"exist or is not writable", file=sys.stderr)
+            return 2
     point = run_traced_point(
         orderer_kind=args.orderer, policy=args.policy, rate=args.rate,
         duration=args.duration, seed=args.seed,
         sample_interval=args.sample_interval)
-    title = (f"Bottleneck attribution ({args.orderer}, {args.policy}, "
-             f"{args.rate:g} tx/s)")
-    result = bottleneck_result(point.report, title=title, top=args.top)
-    print(result.render())
+    report = point.report
+    print(f"== trace: Bottleneck attribution ({args.orderer}, "
+          f"{args.policy}, {args.rate:g} tx/s) ==")
+    print(report.render(top=args.top))
     print()
-    summary = point.network.critical_path_report()
-    print(render_summary(summary))
-    print()
-    queueing = point.network.queueing_report()
-    print(render_queueing_report(queueing, top=args.top))
+    print(render_summary(point.network.critical_path_report()))
     print()
     print(f"throughput: {point.throughput:.1f} tx/s committed "
           f"(offered {args.rate:g} tx/s)")
@@ -80,8 +82,8 @@ def _run_trace(args) -> int:
         with open(args.summary_out, "w", encoding="utf-8") as handle:
             json.dump(data, handle, indent=2, sort_keys=True)
         print(f"trace summary written to {args.summary_out}")
-    if not queueing.little_ok:
-        names = ", ".join(s.name for s in queueing.violations)
+    if not report.little_ok:
+        names = ", ".join(s.name for s in report.violations)
         print(f"trace: Little's-law check FAILED for {names}")
         return 1
     return 0
@@ -464,9 +466,10 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
                                     "statedb", "perfbench", "obs-diff",
                                     "scale", "crossval", "capacity"]),
                         help="which artifact to regenerate; 'trace' for an "
-                             "observed run with bottleneck attribution, "
-                             "critical-path extraction, and the queueing "
-                             "observatory; 'obs-diff' for the perf-"
+                             "observed run with the per-resource "
+                             "bottleneck report (Little's-law checked) "
+                             "and critical-path extraction; 'obs-diff' "
+                             "for the perf-"
                              "regression gate between two bench files; "
                              "'lint' for the simlint determinism analyzer; "
                              "'check-determinism' for same-seed double-run "
@@ -512,8 +515,9 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
                              help="write a Chrome trace_event JSON file "
                                   "(view in Perfetto / chrome://tracing)")
     trace_group.add_argument("--summary-out", default=None, metavar="PATH",
-                             help="write the critical-path + queueing "
-                                  "summary JSON (obs-diff comparable)")
+                             help="write the critical-path + resource "
+                                  "report summary JSON (obs-diff "
+                                  "comparable)")
     lint_group = parser.add_argument_group(
         "lint options",
         "only used with the 'lint' experiment; --out writes the report "

@@ -5,9 +5,6 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.report import BottleneckReport
-
 
 @dataclasses.dataclass
 class ExperimentResult:
@@ -55,30 +52,3 @@ class ExperimentResult:
         index = self.columns.index(name)
         return [row[index] for row in self.rows]
 
-
-def bottleneck_result(report: "BottleneckReport",
-                      title: str = "Bottleneck attribution",
-                      experiment_id: str = "trace",
-                      top: int = 12) -> ExperimentResult:
-    """Convert a bottleneck report into the standard result table."""
-    rows = [[usage.name, usage.phase or "-", usage.kind, usage.capacity,
-             usage.utilization, usage.mean_queue, usage.max_queue,
-             usage.wait_p95]
-            for usage in report.resources[:top]]
-    notes = []
-    if report.bottleneck is not None:
-        verdict = ("saturated" if report.bottleneck.saturated
-                   else "not saturated")
-        notes.append(f"bottleneck: {report.bottleneck.name} "
-                     f"(utilization {report.bottleneck.utilization:.3f}, "
-                     f"{verdict})")
-    if report.saturated_phase:
-        notes.append(f"saturated phase: {report.saturated_phase}")
-    if report.window:
-        notes.append(f"window: [{report.window[0]:.2f}s, "
-                     f"{report.window[1]:.2f}s)")
-    return ExperimentResult(
-        experiment_id=experiment_id, title=title,
-        columns=["resource", "phase", "kind", "capacity", "util",
-                 "avg queue", "max queue", "wait p95 (s)"],
-        rows=rows, notes=notes)

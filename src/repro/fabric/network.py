@@ -360,12 +360,14 @@ class FabricNetwork:
 
     def bottleneck_report(self, start: float | None = None,
                           end: float | None = None):
-        """Bottleneck attribution for an observed run.
+        """The per-resource report for an observed run.
 
-        Defaults to the measurement window of the last
-        :meth:`run_workload` call (or the whole run if none completed).
-        Raises :class:`~repro.common.errors.ConfigurationError` when the
-        network was built without ``observe=True``.
+        Utilization, queue depth, and span statistics default to the
+        measurement window of the last :meth:`run_workload` call (or the
+        whole run if none completed); the Little's-law check always reads
+        lifetime totals.  Raises
+        :class:`~repro.common.errors.ConfigurationError` when the network
+        was built without ``observe=True``.
         """
         if self.obs is None:
             raise ConfigurationError(
@@ -373,13 +375,6 @@ class FabricNetwork:
         if start is None and end is None:
             start, end = getattr(self, "last_window", (None, None))
         return self.obs.report(start, end)
-
-    def queueing_report(self, tolerance: float | None = None):
-        """Queueing observatory: wait/service stats + Little's-law check."""
-        if self.obs is None:
-            raise ConfigurationError(
-                "queueing_report() needs FabricNetwork(observe=True)")
-        return self.obs.queueing_report(tolerance)
 
     def critical_path_report(self):
         """Aggregated critical-path attribution for committed txs."""
@@ -392,7 +387,7 @@ class FabricNetwork:
                       phase_metrics=None) -> dict:
         """One JSON-ready object tying the run's telemetry together.
 
-        Combines critical-path attribution, the queueing observatory, and
+        Combines critical-path attribution, the per-resource report, and
         (when given) the aggregated phase metrics — the format
         ``repro trace --summary-out`` writes and ``repro obs-diff`` reads.
         """
@@ -401,7 +396,7 @@ class FabricNetwork:
             summary["throughput_tps"] = phase_metrics.overall_throughput
             summary["avg_latency_s"] = phase_metrics.overall_latency
         summary["critical_path"] = self.critical_path_report().as_dict()
-        summary["queueing"] = self.queueing_report().as_dict()
+        summary["queueing"] = self.bottleneck_report().as_dict()
         return summary
 
     # ------------------------------------------------------------------

@@ -1,20 +1,20 @@
 """Simulation-wide observability: span tracing, resource sampling,
 and automated bottleneck attribution.
 
-The subsystem has three cooperating parts:
+The subsystem's cooperating parts:
 
 - :mod:`repro.obs.tracer` — hierarchical span tracing on the simulated
   clock, exportable as Chrome/Perfetto ``trace_event`` JSON;
 - :mod:`repro.obs.sampler` — named resource monitors recording
   time-weighted utilization, queue depth, and wait-time distributions,
   checkpointed by a sampler process;
-- :mod:`repro.obs.report` — :func:`bottleneck_report`, ranking resources
-  by utilization and attributing the saturated phase directly from
+- :mod:`repro.obs.report` — :func:`bottleneck_report`, one record per
+  monitored resource (utilization, queue depth, wait/service
+  distributions, a Little's-law consistency check), ranked by
+  utilization to attribute the saturated phase directly from
   measurements (the paper's §V analysis as a feature);
 - :mod:`repro.obs.critical_path` — per-transaction causal critical-path
   extraction and aggregated per-phase latency attribution;
-- :mod:`repro.obs.queueing` — the queueing observatory: per-resource
-  wait/service distributions with a Little's-law consistency check;
 - :mod:`repro.obs.regression` — the perf-regression gate behind
   ``repro obs-diff``.
 
@@ -32,12 +32,6 @@ from repro.obs.critical_path import (
     tx_timeline,
 )
 from repro.obs.observe import Observability
-from repro.obs.queueing import (
-    QueueingReport,
-    ResourceQueueStats,
-    queueing_report,
-    resource_stats,
-)
 from repro.obs.regression import (
     DiffResult,
     MetricDelta,
@@ -47,9 +41,10 @@ from repro.obs.regression import (
 from repro.obs.report import (
     SATURATION_THRESHOLD,
     BottleneckReport,
-    ResourceUsage,
+    ResourceQueueStats,
     SpanStats,
     bottleneck_report,
+    resource_stats,
     span_statistics,
 )
 from repro.obs.sampler import (
@@ -72,10 +67,8 @@ __all__ = [
     "NullTracer",
     "Observability",
     "PathSegment",
-    "QueueingReport",
     "ResourceMonitor",
     "ResourceQueueStats",
-    "ResourceUsage",
     "Span",
     "SpanStats",
     "Tracer",
@@ -85,7 +78,6 @@ __all__ = [
     "compare_measurements",
     "diff_files",
     "extract_critical_paths",
-    "queueing_report",
     "resource_stats",
     "span_statistics",
     "summarize_critical_paths",

@@ -16,7 +16,6 @@ from repro.obs.tracer import Tracer
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.metrics.collector import MetricsCollector
     from repro.obs.critical_path import CriticalPathSummary
-    from repro.obs.queueing import QueueingReport
     from repro.sim.core import Simulation
     from repro.sim.resources import Resource, Store
 
@@ -83,17 +82,8 @@ class Observability:
 
     def report(self, start: float | None = None,
                end: float | None = None) -> BottleneckReport:
-        """Bottleneck attribution over ``[start, end)`` (default: all)."""
+        """Per-resource report over ``[start, end)`` (default: all)."""
         return bottleneck_report(self.tracer, self.monitors, start, end)
-
-    def queueing_report(self,
-                        tolerance: float | None = None) -> QueueingReport:
-        """Per-resource wait/service stats with the Little's-law check."""
-        from repro.obs.queueing import LITTLE_TOLERANCE, queueing_report
-
-        return queueing_report(
-            self.monitors,
-            tolerance=LITTLE_TOLERANCE if tolerance is None else tolerance)
 
     def critical_path_summary(
             self, metrics: MetricsCollector) -> CriticalPathSummary:

@@ -145,7 +145,7 @@ class CostModel:
                 raise ConfigurationError(f"{field_name} must be >= 1")
 
     # ------------------------------------------------------------------
-    # Derived capacities (used by the analytical model and tests)
+    # Derived quantities (Table I's client rate, the VSCC charge)
     # ------------------------------------------------------------------
 
     def client_capacity(self) -> float:
@@ -153,11 +153,6 @@ class CostModel:
         per_tx = (self.client_prep_cpu + self.client_collect_cpu
                   + self.client_submit_cpu)
         return self.client_threads / per_tx
-
-    def endorser_capacity(self) -> float:
-        """Max endorsements/s one peer can serve."""
-        slots = min(self.endorser_concurrency, self.peer_cores)
-        return slots / self.endorse_cpu
 
     def vscc_tx_cpu(self, endorsements: int) -> float:
         """VSCC CPU for one transaction carrying ``endorsements`` signatures.
@@ -173,13 +168,6 @@ class CostModel:
             value = key[1] + key[2] * endorsements
             memo[key] = value
         return value
-
-    def validate_capacity(self, endorsements: int) -> float:
-        """Max tx/s one peer can validate, given endorsements per tx."""
-        vscc_rate = (min(self.validator_workers, self.peer_cores)
-                     / self.vscc_tx_cpu(endorsements))
-        mvcc_rate = 1.0 / self.mvcc_per_tx_cpu
-        return min(vscc_rate, mvcc_rate)
 
     # ------------------------------------------------------------------
     # State-database analytic cost contract

@@ -1,119 +1,123 @@
-"""Tests for the analytical capacity model (and its match to the paper)."""
+"""The phase model's capacity answers against the paper's Table II."""
 
 import pytest
 
-from repro.analysis import CapacityModel
-from repro.chaincode.policy import resolve_policy_spec
+from repro.analysis import PhaseModel
+from repro.common.config import (
+    ChannelConfig,
+    PopulationConfig,
+    TopologyConfig,
+    WorkloadConfig,
+)
+from repro.experiments.runner import make_topology, make_workload
 from repro.runtime.costs import CostModel
 
-PEERS = [f"peer{i}" for i in range(10)]
+
+def predict(spec, peers):
+    """Table II deployment: one client per endorsing peer, solo ordering."""
+    return PhaseModel(make_topology("solo", spec, peers),
+                      make_workload(50.0 * peers)).predict()
 
 
-def capacities(spec, peers):
-    model = CapacityModel(CostModel())
-    policy = resolve_policy_spec(spec, PEERS[:peers])
-    return model.capacities(policy, peers)
+def station(prediction, name):
+    (match,) = [s for s in prediction.stations if s.name == name]
+    return match
+
+
+def phase(prediction):
+    """The bottleneck station's phase: ``validate:mychannel`` -> validate."""
+    return prediction.bottleneck.split(":")[0]
 
 
 def test_or10_bottleneck_is_validate_at_about_300():
-    caps = capacities("OR10", 10)
-    assert caps.bottleneck == "validate"
-    assert caps.system == pytest.approx(305, rel=0.05)
+    # Table II: OR10 flattens at ~300 tps from 7 peers on.
+    for peers in (7, 10):
+        prediction = predict("OR10", peers)
+        assert phase(prediction) == "validate"
+        assert prediction.capacity == pytest.approx(305.1, abs=0.1)
 
 
 def test_and5_bottleneck_is_validate_at_about_210():
-    caps = capacities("AND5", 5)
-    assert caps.bottleneck == "validate"
-    assert caps.system == pytest.approx(210, rel=0.05)
+    prediction = predict("AND5", 5)
+    assert phase(prediction) == "validate"
+    assert prediction.capacity == pytest.approx(210.2, abs=0.1)
 
 
 def test_small_deployments_are_client_bound_at_50_per_peer():
     # Table II: 1 peer -> 50 tps, 3 peers -> 150, under every policy.
     for spec in ["OR10", "OR3", "AND5", "AND3"]:
         for peers in [1, 3]:
-            caps = capacities(spec, peers)
-            assert caps.bottleneck == "client", (spec, peers)
-            assert caps.system == pytest.approx(50 * peers, rel=0.05)
+            prediction = predict(spec, peers)
+            assert phase(prediction) == "client", (spec, peers)
+            assert prediction.capacity == pytest.approx(50.0 * peers,
+                                                        abs=0.1)
 
 
 def test_or10_at_5_peers_client_bound_near_250():
-    caps = capacities("OR10", 5)
-    assert caps.system == pytest.approx(250, rel=0.05)
+    prediction = predict("OR10", 5)
+    assert phase(prediction) == "client"
+    assert prediction.capacity == pytest.approx(250.0, abs=0.1)
 
 
 def test_ordering_never_binds():
     for spec, peers in [("OR10", 10), ("AND5", 5)]:
-        caps = capacities(spec, peers)
-        assert caps.order > 5 * caps.system
+        prediction = predict(spec, peers)
+        assert station(prediction, "order.cpu").capacity \
+            > 5 * prediction.capacity
 
 
 def test_and_execute_capacity_does_not_scale_with_targets():
     # Under AND every target endorses every tx.
-    and3 = capacities("AND3", 3)
-    and5 = capacities("AND5", 5)
-    assert and5.execute == pytest.approx(and3.execute, rel=0.05)
+    and3 = station(predict("AND3", 3), "endorse")
+    and5 = station(predict("AND5", 5), "endorse")
+    assert and5.capacity == pytest.approx(and3.capacity, rel=0.05)
 
 
 def test_or_execute_capacity_scales_with_targets():
-    or3 = capacities("OR3", 3)
-    or10 = capacities("OR10", 10)
-    assert or10.execute > 3 * or3.execute
+    or3 = station(predict("OR3", 3), "endorse")
+    or10 = station(predict("OR10", 10), "endorse")
+    assert or10.capacity > 3 * or3.capacity
 
 
 def test_analytical_matches_simulation_within_ten_percent():
-    # Cross-validation: the simulator's measured peaks (from the tab2
-    # experiment run) against the closed form.
+    # Cross-validation: the simulator's measured peak against the closed
+    # form.
     from repro.experiments.runner import search_peak
 
-    caps = capacities("OR10", 10)
+    capacity = predict("OR10", 10).capacity
     peak, _points = search_peak("solo", "OR10", 10,
-                                rates=[caps.system, caps.system * 1.2],
+                                rates=[capacity, capacity * 1.2],
                                 duration=10)
-    assert peak == pytest.approx(caps.system, rel=0.10)
+    assert peak == pytest.approx(capacity, rel=0.10)
 
 
 def test_validate_capacity_includes_serial_path():
     # The closed form must account for MVCC + commit, not just VSCC.
     costs = CostModel()
-    model = CapacityModel(costs)
-    policy = resolve_policy_spec("OR10", PEERS)
     vscc_only = (min(costs.validator_workers, costs.peer_cores)
                  / costs.vscc_tx_cpu(1))
-    assert model.validate_capacity(policy) < vscc_only
+    validate = station(predict("OR10", 10), "validate:mychannel")
+    assert validate.capacity < vscc_only
 
 
 def test_deployment_capacities_multi_channel():
-    from repro.analysis import (deployment_capacities,
-                                deployment_system_capacity)
-    from repro.common.config import (ChannelConfig, TopologyConfig,
-                                     WorkloadConfig)
-
     topology = TopologyConfig(
         num_endorsing_peers=4,
         channel=ChannelConfig(name="ch1"),
         extra_channels=[ChannelConfig(name="ch2")])
     workload = WorkloadConfig(arrival_rate=100.0, num_clients=4)
-    per_channel = deployment_capacities(topology, workload)
-    assert set(per_channel) == {"ch1", "ch2"}
-    for caps in per_channel.values():
-        assert caps.validate > 0
-        assert caps.system <= caps.validate
-
-    system = deployment_system_capacity(topology, workload)
-    # Aggregated capacity cannot exceed the sum of per-channel capacities
-    # and must be positive.
-    assert 0 < system.system
-    assert system.system <= sum(c.system for c in per_channel.values())
+    prediction = PhaseModel(topology, workload).predict()
+    validate = {s.name: s.capacity for s in prediction.stations
+                if s.name.startswith("validate:")}
+    assert set(validate) == {"validate:ch1", "validate:ch2"}
+    # Each channel's private pipeline bounds the shared system.
+    assert 0 < prediction.capacity <= min(validate.values())
 
 
 def test_deployment_system_capacity_population_workload():
-    from repro.analysis import deployment_system_capacity
-    from repro.common.config import (PopulationConfig, TopologyConfig,
-                                     WorkloadConfig)
-
     topology = TopologyConfig(num_endorsing_peers=4)
     workload = WorkloadConfig(
         arrival_rate=120.0,
         population=PopulationConfig(num_users=5000, cohorts_per_channel=2))
-    caps = deployment_system_capacity(topology, workload)
-    assert 0 < caps.system < float("inf")
+    prediction = PhaseModel(topology, workload).predict()
+    assert 0 < prediction.capacity < float("inf")

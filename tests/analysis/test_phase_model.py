@@ -113,6 +113,16 @@ def test_batch_size_binds_at_high_rate():
     assert model._formation_window(200.0) == pytest.approx(0.25)
 
 
+def test_block_arrivals_are_regular_in_both_cutting_regimes():
+    orderer = OrdererConfig(batch_size=50, batch_timeout=2.0)
+    model = _model(orderer=orderer)
+    # Size-cut: every 50th Poisson arrival closes a block (Erlang-50 gap).
+    assert model._block_arrival_scv(200.0) == pytest.approx(1 / 50)
+    # Timeout-cut: gap = 2 s + Exp(10 tps), SCV (0.1 / 2.1)^2.
+    assert model._block_arrival_scv(10.0) == pytest.approx(
+        (0.1 / 2.1) ** 2)
+
+
 def test_order_latency_reflects_window_crossover():
     slow = _model(rate=20.0,
                   orderer=OrdererConfig(batch_size=500, batch_timeout=2.0))

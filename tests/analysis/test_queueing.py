@@ -75,6 +75,25 @@ def test_mg1_saturation_is_infinite():
     assert mg1_wait(12, 0.1, service_scv=0.5) == math.inf
 
 
+def test_gg1_with_poisson_arrivals_is_mg1():
+    from repro.analysis import gg1_wait, mg1_wait
+
+    assert gg1_wait(5, 1.0, 0.1, 0.4) == mg1_wait(5, 0.1, service_scv=0.4)
+
+
+def test_gg1_regular_arrivals_queue_less():
+    from repro.analysis import gg1_wait
+
+    # Kingman scales the wait by (ca2 + cs2) / 2: deterministic arrivals
+    # into deterministic service never queue.
+    assert gg1_wait(5, 0.01, 0.1, 0.0) == pytest.approx(
+        gg1_wait(5, 1.0, 0.1, 0.0) * 0.01)
+    assert gg1_wait(5, 0.0, 0.1, 0.0) == 0.0
+    assert gg1_wait(10, 0.01, 0.1, 0.0) == math.inf
+    with pytest.raises(ValueError):
+        gg1_wait(5, -0.1, 0.1, 0.0)
+
+
 def test_mgc_single_server_reduces_to_mg1():
     from repro.analysis import mg1_wait, mgc_wait
 

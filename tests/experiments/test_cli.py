@@ -51,6 +51,16 @@ def test_trace_rejects_unknown_orderer():
         main(["trace", "--orderer", "pbft"])
 
 
+@pytest.mark.parametrize("flag", ["--trace-out", "--summary-out"])
+def test_trace_checks_output_paths_before_running(tmp_path, capsys, flag):
+    missing = tmp_path / "missing" / "out.json"
+    assert main(["trace", flag, str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""          # refused before simulating
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"trace: {flag} {missing}:")
+
+
 def test_lint_subcommand_clean_on_shipped_tree(capsys):
     assert main(["lint"]) == 0
     output = capsys.readouterr().out

@@ -37,26 +37,3 @@ def test_column_accessor():
     with pytest.raises(ValueError):
         result.column("missing")
 
-
-def test_bottleneck_result_renders_report_table():
-    from repro.experiments.report import bottleneck_result
-    from repro.obs.report import BottleneckReport, ResourceUsage
-
-    def usage(name, phase, util):
-        return ResourceUsage(
-            name=name, kind="pool", phase=phase, capacity=2,
-            utilization=util, mean_queue=3.0, max_queue=9, grants=100,
-            wait_mean=0.1, wait_p50=0.1, wait_p95=0.2, wait_p99=0.3)
-
-    hot = usage("peer0.validator.workers", "validate", 0.95)
-    report = BottleneckReport(
-        window=(3.0, 10.0),
-        resources=[hot, usage("osn0.cpu", "order", 0.2)],
-        spans=[], bottleneck=hot, saturated_phase="validate")
-    result = bottleneck_result(report, title="Trace", top=1)
-    assert result.column("resource") == ["peer0.validator.workers"]
-    assert result.column("util") == [0.95]
-    text = result.render()
-    assert "bottleneck: peer0.validator.workers" in text
-    assert "saturated phase: validate" in text
-    assert "window: [3.00s, 10.00s)" in text

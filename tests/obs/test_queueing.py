@@ -1,13 +1,11 @@
-"""Tests for the queueing observatory and its Little's-law check."""
+"""Tests for the per-resource queueing records and their Little's-law
+check."""
 
 import pytest
 
-from repro.obs.queueing import (
-    queueing_report,
-    render_queueing_report,
-    resource_stats,
-)
+from repro.obs.report import bottleneck_report, resource_stats
 from repro.obs.sampler import watch_resource, watch_store
+from repro.obs.tracer import Tracer
 from repro.sim import Simulation
 from repro.sim.resources import Resource, Store
 
@@ -30,7 +28,7 @@ def test_stats_report_exact_queueing_quantities():
     _sim, monitor = contended_run()
     stats = resource_stats(monitor)
     # 3 one-second holds back to back on one server over 3 seconds.
-    assert stats.window == pytest.approx(3.0)
+    assert stats.lifetime == pytest.approx(3.0)
     assert stats.utilization == pytest.approx(1.0)
     assert stats.arrivals == 3
     assert stats.completions == 3
@@ -38,6 +36,7 @@ def test_stats_report_exact_queueing_quantities():
     assert stats.throughput == pytest.approx(1.0)
     # Waits 0s, 1s, 2s; queue integral 3 queue-seconds over 3 seconds.
     assert stats.mean_wait == pytest.approx(1.0)
+    assert stats.p50_wait <= stats.p95_wait <= stats.p99_wait
     assert stats.mean_queue == pytest.approx(1.0)
     assert stats.mean_service == pytest.approx(1.0)
     assert stats.phase == "validate"
@@ -108,14 +107,16 @@ def test_store_monitors_skip_the_check():
     assert stats.little_ok   # never a violation without a check
 
 
-def test_windowed_stats_skip_the_check():
+def test_windowed_stats_keep_the_lifetime_check():
     _sim, monitor = contended_run()
     stats = resource_stats(monitor, start=0.0, end=2.0)
-    assert stats.window == pytest.approx(2.0)
-    assert stats.little_error is None
-    assert stats.little_ok
-    # lambda*W is a lifetime accumulation: not reported for sub-windows.
-    assert stats.lambda_w == 0.0
+    assert stats.utilization == pytest.approx(1.0)
+    # Little's law compares lifetime accumulations, whatever the window.
+    assert stats.lifetime == pytest.approx(3.0)
+    assert stats.occupancy_l == pytest.approx(2.0)
+    assert stats.lambda_w == pytest.approx(2.0)
+    assert stats.little_error == pytest.approx(0.0)
+    assert stats.throughput == pytest.approx(1.0)
 
 
 def test_cancelled_requests_are_counted():
@@ -152,7 +153,7 @@ def test_report_orders_by_utilization_and_aggregates_violations():
 
     sim.process(worker())
     sim.run()
-    report = queueing_report(monitors)
+    report = bottleneck_report(Tracer(sim), monitors)
     assert [stats.name for stats in report.resources] == ["busy", "idle"]
     assert report.little_ok
     assert report.violations == []
@@ -171,11 +172,12 @@ def test_render_flags_violations_and_truncates():
 
     sim.process(holder())
     sim.run(until=5.0)
-    report = queueing_report({"stuck": monitor})
-    text = render_queueing_report(report)
+    report = bottleneck_report(Tracer(sim), {"stuck": monitor})
+    text = report.render(top=0)
+    assert "... 1 more resources" in text
     assert "LITTLE'S-LAW VIOLATIONS: stuck" in text
-    clean = queueing_report({})
-    assert "consistent within 5%" in render_queueing_report(clean)
+    clean = bottleneck_report(Tracer(sim), {})
+    assert "consistent within 5%" in clean.render()
 
 
 def test_tolerance_is_configurable():

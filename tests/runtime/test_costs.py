@@ -2,8 +2,21 @@
 
 import pytest
 
+from repro.analysis import CostFit, PhaseModel
+from repro.common.config import TopologyConfig, WorkloadConfig
 from repro.common.errors import ConfigurationError
 from repro.runtime.costs import CostModel
+
+
+def validate_capacity(costs):
+    """The phase model's validate-station capacity under ``costs``."""
+    topology = TopologyConfig()
+    fit = CostFit(costs, topology.statedb)
+    prediction = PhaseModel(topology, WorkloadConfig(arrival_rate=100.0),
+                            fit=fit).predict()
+    (station,) = [s for s in prediction.stations
+                  if s.name.startswith("validate:")]
+    return station.capacity
 
 
 def test_defaults_validate():
@@ -32,7 +45,9 @@ def test_endorser_capacity_exceeds_client_capacity():
     # Endorsement must be cheap relative to the client, or Table II's AND
     # rows could not equal the OR rows at low peer counts.
     costs = CostModel()
-    assert costs.endorser_capacity() > 4 * costs.client_capacity()
+    endorsements_per_s = (min(costs.endorser_concurrency, costs.peer_cores)
+                          / costs.endorse_cpu)
+    assert endorsements_per_s > 4 * costs.client_capacity()
 
 
 def test_vscc_cost_grows_with_endorsements():
@@ -42,18 +57,8 @@ def test_vscc_cost_grows_with_endorsements():
     assert delta == pytest.approx(costs.vscc_per_endorsement_cpu)
 
 
-def test_validate_capacity_or_versus_and():
-    # The paper's bottleneck values: ~300 tps for OR, ~210 for AND5.
-    costs = CostModel()
-    or_capacity = costs.validate_capacity(endorsements=1)
-    and_capacity = costs.validate_capacity(endorsements=5)
-    assert and_capacity < or_capacity
-    assert 280 <= or_capacity <= 400
-    assert 190 <= and_capacity <= 260
-
-
 def test_validate_capacity_bounded_by_cores():
-    costs = CostModel(validator_workers=16, peer_cores=2)
-    capped = costs.validate_capacity(endorsements=1)
+    # Validator workers beyond the peer's cores add no validate capacity.
+    capped = CostModel(validator_workers=16, peer_cores=2)
     more_cores = CostModel(validator_workers=16, peer_cores=16)
-    assert capped < more_cores.validate_capacity(endorsements=1)
+    assert validate_capacity(capped) < validate_capacity(more_cores)
