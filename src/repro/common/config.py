@@ -9,6 +9,7 @@ and one workload client per endorsing peer.
 from __future__ import annotations
 
 import dataclasses
+from math import inf
 
 from repro.common.errors import ConfigurationError
 
@@ -48,8 +49,10 @@ class OrdererConfig:
                 "solo ordering runs on a single node by definition")
         if self.batch_size < 1:
             raise ConfigurationError("BatchSize must be >= 1")
-        if self.batch_timeout <= 0:
-            raise ConfigurationError("BatchTimeout must be positive")
+        if not 0 < self.batch_timeout < inf:
+            raise ConfigurationError(
+                f"batch_timeout must be finite and positive, got "
+                f"{self.batch_timeout}")
         if self.kind == "kafka":
             if self.num_brokers < 1 or self.num_zookeepers < 1:
                 raise ConfigurationError(
@@ -96,9 +99,10 @@ class ChannelWorkload:
     skew: float | None = None
 
     def validate(self, channel: str = "?") -> None:
-        if self.rate < 0:
+        if not 0 <= self.rate < inf:
             raise ConfigurationError(
-                f"channel {channel!r} rate must be >= 0, got {self.rate}")
+                f"channel {channel!r} rate must be finite and >= 0, got "
+                f"{self.rate}")
         if self.workload not in ("unique", "conflict"):
             raise ConfigurationError(
                 f"channel {channel!r} has unknown workload "
@@ -109,9 +113,9 @@ class ChannelWorkload:
         if self.key_space is not None and self.key_space < 1:
             raise ConfigurationError(
                 f"channel {channel!r} key_space must be >= 1")
-        if self.skew is not None and self.skew < 0:
+        if self.skew is not None and not self.skew >= 0:
             raise ConfigurationError(
-                f"channel {channel!r} skew must be >= 0")
+                f"channel {channel!r} skew must be >= 0, got {self.skew}")
 
 
 @dataclasses.dataclass
@@ -145,9 +149,10 @@ class PopulationConfig:
             raise ConfigurationError(
                 "population cohorts_per_channel must be >= 1, got "
                 f"{self.cohorts_per_channel}")
-        if self.user_rate is not None and self.user_rate < 0:
+        if self.user_rate is not None and not 0 <= self.user_rate < inf:
             raise ConfigurationError(
-                f"population user_rate must be >= 0, got {self.user_rate}")
+                f"population user_rate must be finite and >= 0, got "
+                f"{self.user_rate}")
 
 
 @dataclasses.dataclass
@@ -189,12 +194,16 @@ class WorkloadConfig:
     def validate(self) -> None:
         # Zero is a valid *idle* workload (e.g. a drain-only run, or the
         # base rate when every channel carries its own per-channel rate);
-        # only negative rates are configuration errors.
-        if self.arrival_rate < 0:
+        # only negative rates are configuration errors.  Every range check
+        # below is written so that NaN fails it, and each rate, delay or
+        # horizon must also be finite: the kernel cannot schedule at inf.
+        if not 0 <= self.arrival_rate < inf:
             raise ConfigurationError(
-                f"arrival rate must be >= 0, got {self.arrival_rate}")
-        if self.duration <= 0:
-            raise ConfigurationError("duration must be positive")
+                f"arrival_rate must be finite and >= 0, got "
+                f"{self.arrival_rate}")
+        if not 0 < self.duration < inf:
+            raise ConfigurationError(
+                f"duration must be finite and positive, got {self.duration}")
         if self.arrival_process not in ("uniform", "poisson"):
             raise ConfigurationError(
                 f"unknown arrival process {self.arrival_process!r}")
@@ -202,20 +211,28 @@ class WorkloadConfig:
             raise ConfigurationError(
                 f"num_clients must be >= 1, got {self.num_clients}; omit "
                 "it (None) to default to one client per endorsing peer")
-        if self.ordering_timeout <= 0:
-            raise ConfigurationError("ordering timeout must be positive")
-        if self.endorsement_timeout <= 0:
-            raise ConfigurationError("endorsement timeout must be positive")
+        if not 0 < self.ordering_timeout < inf:
+            raise ConfigurationError(
+                f"ordering_timeout must be finite and positive, got "
+                f"{self.ordering_timeout}")
+        if not 0 < self.endorsement_timeout < inf:
+            raise ConfigurationError(
+                f"endorsement_timeout must be finite and positive, got "
+                f"{self.endorsement_timeout}")
         if self.max_resubmits < 0:
             raise ConfigurationError("max_resubmits must be >= 0")
-        if self.resubmit_backoff < 0:
-            raise ConfigurationError("resubmit backoff must be >= 0")
+        if not 0 <= self.resubmit_backoff < inf:
+            raise ConfigurationError(
+                f"resubmit_backoff must be finite and >= 0, got "
+                f"{self.resubmit_backoff}")
         if not 0 <= self.resubmit_jitter < 1:
-            raise ConfigurationError("resubmit jitter must be in [0, 1)")
-        if self.warmup < 0:
+            raise ConfigurationError(
+                f"resubmit_jitter must be in [0, 1), got "
+                f"{self.resubmit_jitter}")
+        if not self.warmup >= 0:
             raise ConfigurationError(
                 f"warmup must be >= 0, got {self.warmup}")
-        if self.cooldown < 0:
+        if not self.cooldown >= 0:
             raise ConfigurationError(
                 f"cooldown must be >= 0, got {self.cooldown}")
         if self.warmup + self.cooldown >= self.duration:

@@ -31,6 +31,7 @@ import pathlib
 import sys
 import typing
 
+from repro.common.errors import ConfigurationError
 from repro.experiments.figures import (
     run_fig2_fig3,
     run_fig4_fig5,
@@ -43,21 +44,31 @@ EXPERIMENT_IDS = ["tab1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
                   "tab2", "tab3", "fig8"]
 
 
+def _output_dirs_writable(args) -> bool:
+    """Check every output path's directory before any work starts.
+
+    Prints one stderr line naming the flag and returns ``False`` when a
+    directory is missing or not writable, so a long run cannot end in a
+    failed write.
+    """
+    for flag, path in (("--out", args.out), ("--trace-out", args.trace_out),
+                       ("--summary-out", args.summary_out)):
+        if path is None:
+            continue
+        directory = pathlib.Path(path).parent
+        if not directory.is_dir() or not os.access(directory, os.W_OK):
+            print(f"{args.experiment}: {flag} {path}: directory {directory} "
+                  f"does not exist or is not writable", file=sys.stderr)
+            return False
+    return True
+
+
 def _run_trace(args) -> int:
     """The ``trace`` subcommand: one observed run, the per-resource report
     with its Little's-law check, and critical-path attribution."""
     from repro.experiments.runner import run_traced_point
     from repro.obs.critical_path import render_summary
 
-    for flag, path in (("--trace-out", args.trace_out),
-                       ("--summary-out", args.summary_out)):
-        if path is None:
-            continue
-        directory = pathlib.Path(path).parent
-        if not directory.is_dir() or not os.access(directory, os.W_OK):
-            print(f"trace: {flag} {path}: directory {directory} does not "
-                  f"exist or is not writable", file=sys.stderr)
-            return 2
     point = run_traced_point(
         orderer_kind=args.orderer, policy=args.policy, rate=args.rate,
         duration=args.duration, seed=args.seed,
@@ -676,7 +687,18 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
                             help="list every compared metric, not just "
                                  "regressions")
     args = parser.parse_args(argv)
+    if not _output_dirs_writable(args):
+        return 2
+    try:
+        return _dispatch(args)
+    except ConfigurationError as error:
+        # The one error boundary: a bad flag or config value ends in one
+        # line naming it, not a traceback.
+        print(f"fabric-repro: {error}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args) -> int:
     if args.experiment == "lint":
         return _run_lint(args)
     if args.experiment == "check-determinism":

@@ -171,8 +171,7 @@ class PerfResult:
 
 
 def _build_network(scenario: PerfScenario, seed: int,
-                   observe: bool = False,
-                   scheduler: str = "array") -> FabricNetwork:
+                   observe: bool = False) -> FabricNetwork:
     if scenario.population_users > 0:
         from repro.experiments.scale import (
             make_scale_topology,
@@ -191,7 +190,7 @@ def _build_network(scenario: PerfScenario, seed: int,
     # Observed builds disable the sampler: the tracer and monitors are
     # schedule-neutral, the sampler's periodic timeouts are not.
     return FabricNetwork(topology, workload, seed=seed, observe=observe,
-                         observe_sampler=False, scheduler=scheduler)
+                         observe_sampler=False)
 
 
 def run_scenario(name: str, seed: int = GOLDEN_SEED,
@@ -243,8 +242,7 @@ def run_scenario(name: str, seed: int = GOLDEN_SEED,
 
 
 def digest_scenario(name: str, seed: int = GOLDEN_SEED,
-                    scale: str = "full", observe: bool = False,
-                    scheduler: str = "array") -> str:
+                    scale: str = "full", observe: bool = False) -> str:
     """The trace digest of one (untimed) scenario run.
 
     This is the digest-only half of :func:`run_scenario`, exposed so the
@@ -252,13 +250,9 @@ def digest_scenario(name: str, seed: int = GOLDEN_SEED,
     timed run.  ``observe=True`` runs with span tracing and resource
     monitors attached (sampler off): the digest must not change, which is
     the standing proof that observability is schedule-neutral.
-    ``scheduler="heap"`` replays the run on the legacy binary-heap
-    scheduler — the oracle the differential scheduler tests diff the
-    array scheduler against.
     """
     scenario = SCENARIOS[name].at_scale(scale)
-    network = _build_network(scenario, seed, observe=observe,
-                             scheduler=scheduler)
+    network = _build_network(scenario, seed, observe=observe)
     digest = TraceDigest(network.sim, keep_records=False).attach()
     try:
         network.run_workload()

@@ -46,8 +46,7 @@ class FabricNetwork:
                  observe: bool = False,
                  observe_sampler: bool = True,
                  sample_interval: float = 0.05,
-                 faults: FaultSchedule | None = None,
-                 scheduler: str = "array") -> None:
+                 faults: FaultSchedule | None = None) -> None:
         self.topology = topology
         self.workload_config = workload or WorkloadConfig()
         self.workload_config.validate()
@@ -58,8 +57,7 @@ class FabricNetwork:
             seed=seed, costs=costs,
             latency=topology.network_latency,
             bandwidth=topology.network_bandwidth,
-            jitter=topology.network_jitter,
-            scheduler=scheduler)
+            jitter=topology.network_jitter)
         if not topology.tls_enabled:
             self.context.costs.tls_per_message_cpu = 0.0
         #: Observability layer (tracer + monitors); opt-in and off by

@@ -20,7 +20,9 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import typing
+from math import inf
 
+from repro.common.errors import ConfigurationError
 from repro.metrics.stats import StreamingHistogram
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -287,9 +289,10 @@ class UtilizationSampler:
     def __init__(self, sim: "Simulation",
                  monitors: typing.Mapping[str, ResourceMonitor],
                  interval: float = 0.05) -> None:
-        if interval <= 0:
-            raise ValueError(f"sample interval must be positive, "
-                             f"got {interval}")
+        if not 0 < interval < inf:
+            raise ConfigurationError(
+                f"sample_interval must be finite and positive, got "
+                f"{interval}")
         self.sim = sim
         self.monitors = monitors
         self.interval = interval

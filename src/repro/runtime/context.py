@@ -32,16 +32,11 @@ class NetworkContext:
     @classmethod
     def create(cls, seed: int = 0, costs: CostModel | None = None,
                latency: float = 0.00025, bandwidth: float = 125_000_000.0,
-               jitter: float = 0.2,
-               scheduler: str = "array") -> "NetworkContext":
-        """Build a fresh context with paper-default network parameters.
-
-        ``scheduler`` selects the kernel event scheduler (``"array"`` or
-        the legacy ``"heap"`` oracle — see :mod:`repro.sim.scheduler`).
-        """
+               jitter: float = 0.2) -> "NetworkContext":
+        """Build a fresh context with paper-default network parameters."""
         from repro.metrics.collector import MetricsCollector
 
-        sim = Simulation(scheduler=scheduler)
+        sim = Simulation()
         rng = RngRegistry(seed=seed)
         network = Network(sim, rng, default_latency=latency,
                           default_bandwidth=bandwidth, latency_jitter=jitter)

@@ -19,8 +19,9 @@ discrete-event simulator in the style of SimPy, written from scratch:
   :class:`~repro.sim.rng.BatchSampler` is the vectorised (but
   bit-identical) view of a high-rate stream.
 - :class:`~repro.sim.scheduler.CalendarQueue`: the timed tiers of the
-  array-backed event scheduler (the default; the legacy binary heap stays
-  available as ``Simulation(scheduler="heap")``).
+  event scheduler; due-now events sit in a FIFO ring beside it, and
+  :meth:`Simulation.run <repro.sim.core.Simulation.run>` pops both in
+  binary-heap ``(time, seq)`` order.
 
 Everything is deterministic given a seed: the event scheduler breaks ties
 by insertion order, and all randomness flows through named RNG streams.

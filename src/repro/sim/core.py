@@ -5,17 +5,12 @@ popped in order; popping an event runs its callbacks, which resume waiting
 processes.  Processes are plain Python generators that yield
 :class:`~repro.sim.events.Event` objects.
 
-Two interchangeable schedulers back the loop (see
-:mod:`repro.sim.scheduler` for the design rationale):
-
-- ``scheduler="array"`` (the default): a comparison-free FIFO ring for
-  due-now events plus a calendar/sorted two-tier queue for timed events;
-- ``scheduler="heap"``: the original single binary heap, kept as the
-  differential-testing oracle.
-
-Both produce bit-identical pop order and sequence numbering — the golden
-trace digests and ``tests/sim/test_scheduler_differential.py`` hold them
-to it.
+The schedule lives in two tiers (see :mod:`repro.sim.scheduler` for the
+design rationale): a comparison-free FIFO ring for due-now events plus a
+calendar/sorted two-tier queue for timed events.  :meth:`Simulation.run`
+is the only code that pops them, in the order a single binary heap of
+``(time, seq)`` keys would — the golden trace digests pin that order end
+to end.
 
 Determinism: ties on time are broken by a monotonically increasing sequence
 number, so two runs with the same seed produce identical schedules.
@@ -23,9 +18,7 @@ number, so two runs with the same seed produce identical schedules.
 
 from __future__ import annotations
 
-import heapq
 import typing
-from bisect import insort
 from collections import deque
 from math import inf
 
@@ -65,12 +58,13 @@ class Simulation:
         assert sim.now == 1.0
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_active_process", "_trace",
+    __slots__ = ("_now", "_seq", "_active_process", "_trace",
                  "events_processed", "_fifo", "_cal")
 
-    def __init__(self, scheduler: str = "array") -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        #: Sequence number of the next push: every push takes one, so
+        #: ties on time pop in push order.
         self._seq: int = 0
         self._active_process: Process | None = None
         #: Total events popped over this simulation's lifetime (perf
@@ -78,39 +72,19 @@ class Simulation:
         self.events_processed: int = 0
         #: Determinism sanitizer hook; when set, every popped event is fed
         #: into its running digest.  ``None`` (the default) costs one
-        #: ``is`` test per step.
+        #: ``is`` test per pop.
         self._trace: "TraceDigest | None" = None
-        # Scheduler selection.  ``_fifo is None`` is the mode discriminator
-        # checked inline at every push site (events.py, resources.py, and
-        # this module): a method call per push would eat the win.
-        if scheduler == "array":
-            self._fifo: "deque[tuple[float, int, Event]] | None" = deque()
-            self._cal: CalendarQueue | None = CalendarQueue()
-        elif scheduler == "heap":
-            self._fifo = None
-            self._cal = None
-        else:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected 'array' or 'heap'")
+        # The two tiers are pushed to inline at every push site
+        # (events.py, resources.py, and this module): a method call per
+        # push would be measurable.  Due-now entries go to the FIFO ring,
+        # timed ones to the calendar queue.
+        self._fifo: "deque[tuple[float, int, Event]]" = deque()
+        self._cal = CalendarQueue()
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def scheduler_kind(self) -> str:
-        """Which scheduler backs this simulation: ``"array"`` or ``"heap"``."""
-        return "heap" if self._fifo is None else "array"
-
-    def scheduler_depths(self) -> dict[str, int]:
-        """Pending-entry counts per scheduler tier (test introspection)."""
-        if self._fifo is None:
-            return {"heap": len(self._heap)}
-        assert self._cal is not None
-        depths = self._cal.depths()
-        depths["fifo"] = len(self._fifo)
-        return depths
 
     @property
     def active_process(self) -> "Process | None":
@@ -128,9 +102,10 @@ class Simulation:
     def timeout(self, delay: float, value: typing.Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now.
 
-        ``delay`` must be non-negative: a negative delay would schedule an
-        event *before* already-queued ones and silently corrupt the heap's
-        time ordering.  :class:`~repro.sim.events.Timeout` enforces this.
+        ``delay`` must be finite and non-negative: a negative delay would
+        schedule an event *before* already-popped ones, and a NaN or
+        infinite one could never pop in time order.
+        :class:`~repro.sim.events.Timeout` enforces this.
         """
         return Timeout(self, delay, value)
 
@@ -155,7 +130,7 @@ class Simulation:
         other same-time processes through a shared resource.
 
         Message dispatch and transmission — one process each per message —
-        use both flags to keep ~2 pops per message off the heap.
+        use both flags to keep ~2 pops per message off the schedule.
         """
         return Process(self, generator, daemon=daemon, eager=eager)
 
@@ -171,73 +146,15 @@ class Simulation:
     # Scheduling and the main loop
     # ------------------------------------------------------------------
 
-    def _enqueue(self, event: Event, delay: float = 0.0) -> None:
-        """Schedule ``event``'s callbacks to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(
-                f"cannot schedule an event {-delay} seconds into the past")
-        fifo = self._fifo
-        if fifo is None:
-            heapq.heappush(self._heap, (self._now + delay, self._seq, event))
-        elif delay == 0.0:
-            fifo.append((self._now, self._seq, event))
-        else:
-            cal = self._cal
-            assert cal is not None
-            entry = (self._now + delay, self._seq, event)
-            if entry[0] < cal.bucket_end:
-                insort(cal.run, entry)
-            else:
-                heapq.heappush(cal.far, entry)
+    def _enqueue(self, event: Event) -> None:
+        """Schedule ``event``'s callbacks to run at the current time."""
+        self._fifo.append((self._now, self._seq, event))
         self._seq += 1
 
-    def _next_entry(self) -> "tuple[float, int, Event] | None":
-        """The earliest pending array-scheduler entry, without removing it."""
-        assert self._fifo is not None and self._cal is not None
-        timed = self._cal.head()
-        if self._fifo:
-            first = self._fifo[0]
-            if timed is None or first < timed:
-                return first
-        return timed
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._fifo is None:
-            return self._heap[0][0] if self._heap else inf
-        entry = self._next_entry()
-        return entry[0] if entry is not None else inf
-
     def set_trace(self, trace: "TraceDigest | None") -> None:
-        """Install (or remove) the determinism-sanitizer trace hook."""
+        """Install (or remove) the pop hook: ``trace.record(time, seq,
+        event)`` runs for every popped entry, before its callbacks."""
         self._trace = trace
-
-    def step(self) -> None:
-        """Pop and process a single event."""
-        if self._fifo is None:
-            when, _seq, event = heapq.heappop(self._heap)
-        else:
-            assert self._cal is not None
-            timed = self._cal.head()
-            if self._fifo and (timed is None or self._fifo[0] < timed):
-                when, _seq, event = self._fifo.popleft()
-            elif timed is not None:
-                when, _seq, event = self._cal.pop()
-            else:
-                raise IndexError("step() on an empty schedule")
-        self._now = when
-        self.events_processed += 1
-        if self._trace is not None:
-            self._trace.record(when, _seq, event)
-        callbacks = event.callbacks
-        event.callbacks = None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event.defused:
-            # Nobody waited on this failed event: surface the error rather
-            # than letting it pass silently.
-            raise event._value
 
     def run(self, until: float | Event | None = None) -> typing.Any:
         """Run until the schedule drains, ``until`` passes, or an event fires.
@@ -245,22 +162,13 @@ class Simulation:
         ``until`` may be a simulated-time horizon (float), an event (run until
         it fires and return its value), or ``None`` (drain all events).
 
-        The pop/dispatch loop is the simulator's hottest code: it is
-        deliberately inlined (rather than calling :meth:`step`) with
-        hoisted locals.  One loop exists per scheduler; they are
-        behaviourally identical — same pops, same order — and the
-        golden-digest suite (``tests/fabric/test_golden_digests``) plus the
-        differential scheduler tests hold them to that contract.
+        This pop/dispatch loop is the simulator's hottest code, written
+        inline with hoisted locals.  Selection is a two-way head
+        comparison (FIFO ring vs current calendar bucket): the far tier
+        holds only entries at or beyond ``bucket_end``, so it can never
+        own the minimum, and FIFO entries (time <= now < bucket_end)
+        always precede it too.
         """
-        if self._fifo is None:
-            return self._run_heap(until)
-        return self._run_array(until)
-
-    def _run_array(self, until: float | Event | None) -> typing.Any:
-        # The array-scheduler loop.  Selection is a two-way head comparison
-        # (FIFO ring vs current calendar bucket): the far tier holds only
-        # entries at or beyond bucket_end, so it can never own the minimum,
-        # and FIFO entries (time <= now < bucket_end) always precede it too.
         stop_event: Event | None = None
         # inf instead of None: one float compare per pop, no None test.
         horizon = inf
@@ -274,12 +182,14 @@ class Simulation:
         elif until is not None:
             horizon = float(until)
             explicit_horizon = True
-            if horizon < self._now:
+            # Written so that NaN fails it too: a NaN horizon never stops,
+            # and draining to an infinite one would leave now == inf.
+            if not self._now <= horizon < inf:
                 raise ValueError(
-                    f"until={horizon} is in the past (now={self._now})")
+                    f"until={horizon} must be a finite time >= now "
+                    f"({self._now})")
         fifo = self._fifo
         cal = self._cal
-        assert fifo is not None and cal is not None
         fifo_popleft = fifo.popleft
         # run/run_idx are hoisted loop-locals, synced back in the finally
         # block.  Callbacks may insort new entries into cal.run (growing it
@@ -310,10 +220,9 @@ class Simulation:
                 when = entry[0]
                 if when > horizon:
                     # Un-pop so the next bounded run() resumes exactly here.
-                    if run_idx > 0 and entry is run[run_idx - 1]:
-                        run_idx -= 1
-                    else:
-                        fifo.appendleft(entry)
+                    # Only a bucket entry can pass the horizon: a FIFO
+                    # entry's time is <= now <= horizon.
+                    run_idx -= 1
                     self._now = horizon
                     return None
                 event = entry[2]
@@ -343,58 +252,6 @@ class Simulation:
         if explicit_horizon:
             # The schedule drained before the horizon; advance the clock so
             # repeated bounded runs observe monotonic time.
-            self._now = max(self._now, horizon)
-        return None
-
-    def _run_heap(self, until: float | Event | None) -> typing.Any:
-        # The legacy binary-heap loop, preserved verbatim as the
-        # differential-testing oracle for the array scheduler.
-        stop_event: Event | None = None
-        horizon: float | None = None
-        if isinstance(until, Event):
-            stop_event = until
-            if stop_event.processed:
-                return stop_event.value
-            assert stop_event.callbacks is not None
-            stop_event.callbacks.append(self._stop_callback)
-        elif until is not None:
-            horizon = float(until)
-            if horizon < self._now:
-                raise ValueError(
-                    f"until={horizon} is in the past (now={self._now})")
-        heap = self._heap
-        pop = heapq.heappop
-        steps = 0
-        try:
-            while heap:
-                if horizon is not None and heap[0][0] > horizon:
-                    self._now = horizon
-                    return None
-                when, _seq, event = pop(heap)
-                self._now = when
-                steps += 1
-                trace = self._trace
-                if trace is not None:
-                    trace.record(when, _seq, event)
-                callbacks = event.callbacks
-                event.callbacks = None
-                assert callbacks is not None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event.defused:
-                    # Nobody waited on this failed event: surface the error
-                    # rather than letting it pass silently.
-                    raise event._value
-        except StopSimulation as stop:
-            return stop.args[0]
-        finally:
-            self.events_processed += steps
-        if stop_event is not None and not stop_event.triggered:
-            raise RuntimeError(
-                "simulation ran out of events before `until` event fired")
-        if horizon is not None:
-            # The heap drained before reaching the horizon; advance the clock
-            # so repeated bounded runs observe monotonic time.
             self._now = max(self._now, horizon)
         return None
 
@@ -463,16 +320,12 @@ class Process(Event):
             sim._active_process = previous
             return
         # Kick off the generator at the current time via an initial event
-        # (pre-succeeded, scheduled directly on the heap).
+        # (pre-succeeded, pushed directly onto the FIFO ring).
         init = Event(sim)
         init._value = None
         assert init.callbacks is not None
         init.callbacks.append(self._resume)
-        fifo = sim._fifo
-        if fifo is None:
-            heapq.heappush(sim._heap, (sim._now, sim._seq, init))
-        else:
-            fifo.append((sim._now, sim._seq, init))
+        sim._fifo.append((sim._now, sim._seq, init))
         sim._seq += 1
         self._target = init
 
@@ -563,11 +416,7 @@ class Process(Event):
                 next_target.defused = True
                 resume.defused = True
             resume.callbacks = [self._resume]
-            fifo = sim._fifo
-            if fifo is None:
-                heapq.heappush(sim._heap, (sim._now, sim._seq, resume))
-            else:
-                fifo.append((sim._now, sim._seq, resume))
+            sim._fifo.append((sim._now, sim._seq, resume))
             sim._seq += 1
             self._target = resume
         else:

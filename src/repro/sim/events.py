@@ -11,6 +11,7 @@ from __future__ import annotations
 import typing
 from bisect import insort
 from heapq import heappush
+from math import inf
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.core import Simulation
@@ -25,11 +26,11 @@ class Event:
     Events move through three states: *pending* (created, not yet fired),
     *triggered* (scheduled to fire at the current simulation time), and
     *processed* (callbacks have run).  Waiting processes register callbacks;
-    the simulation loop invokes them when the event is popped from the heap.
+    the simulation loop invokes them when the event is popped.
 
     Events are the kernel's unit of allocation — hundreds of thousands per
     reference run — so the whole hierarchy uses ``__slots__`` and triggering
-    pushes straight onto the simulation heap.
+    pushes straight onto the simulation's schedule.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "defused")
@@ -74,11 +75,7 @@ class Event:
         self._ok = True
         self._value = value
         sim = self.sim
-        fifo = sim._fifo
-        if fifo is None:
-            heappush(sim._heap, (sim._now, sim._seq, self))
-        else:
-            fifo.append((sim._now, sim._seq, self))
+        sim._fifo.append((sim._now, sim._seq, self))
         sim._seq += 1
         return self
 
@@ -91,11 +88,7 @@ class Event:
         self._ok = False
         self._value = exception
         sim = self.sim
-        fifo = sim._fifo
-        if fifo is None:
-            heappush(sim._heap, (sim._now, sim._seq, self))
-        else:
-            fifo.append((sim._now, sim._seq, self))
+        sim._fifo.append((sim._now, sim._seq, self))
         sim._seq += 1
         return self
 
@@ -112,9 +105,11 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulation", delay: float,
                  value: typing.Any = None) -> None:
-        if delay < 0:
+        # Written so that NaN fails it too: a NaN or infinite delay could
+        # never pop in time order.
+        if not 0.0 <= delay < inf:
             raise ValueError(
-                f"timeout delay must be >= 0, got {delay} "
+                f"timeout delay must be finite and >= 0, got {delay} "
                 f"(a negative delay would schedule into the past)")
         # Event.__init__ is inlined: timeouts are the single most common
         # allocation in a run, and the attribute values differ anyway
@@ -125,20 +120,17 @@ class Timeout(Event):
         self._value = value
         self.defused = False
         self.delay = delay
-        fifo = sim._fifo
-        if fifo is None:
-            heappush(sim._heap, (sim._now + delay, sim._seq, self))
-        elif delay == 0.0:
-            fifo.append((sim._now, sim._seq, self))
+        if delay == 0.0:
+            sim._fifo.append((sim._now, sim._seq, self))
         else:
             # CalendarQueue.push inlined: timeouts are the dominant timed
             # push and the extra method frame showed up in sampling profiles.
             cal = sim._cal
             entry = (sim._now + delay, sim._seq, self)
-            if entry[0] < cal.bucket_end:  # type: ignore[union-attr]
-                insort(cal.run, entry)  # type: ignore[union-attr]
+            if entry[0] < cal.bucket_end:
+                insort(cal.run, entry)
             else:
-                heappush(cal.far, entry)  # type: ignore[union-attr]
+                heappush(cal.far, entry)
         sim._seq += 1
 
     @property

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import collections
 import typing
-from heapq import heappush
 
 from repro.sim.events import _PENDING, Event, Timeout
 
@@ -91,11 +90,7 @@ class Resource:
             # triggered, so only the trigger-and-schedule half remains.
             request._value = None
             sim = self.sim
-            fifo = sim._fifo
-            if fifo is None:
-                heappush(sim._heap, (sim._now, sim._seq, request))
-            else:
-                fifo.append((sim._now, sim._seq, request))
+            sim._fifo.append((sim._now, sim._seq, request))
             sim._seq += 1
             if self.monitor is not None:
                 request.granted_at = sim._now
@@ -199,11 +194,7 @@ class Resource:
             # Inlined request.succeed() (see request()).
             request._value = None
             sim = self.sim
-            fifo = sim._fifo
-            if fifo is None:
-                heappush(sim._heap, (sim._now, sim._seq, request))
-            else:
-                fifo.append((sim._now, sim._seq, request))
+            sim._fifo.append((sim._now, sim._seq, request))
             sim._seq += 1
             if self.monitor is not None:
                 request.granted_at = sim._now
@@ -248,11 +239,7 @@ class Store:
                 # Inlined getter.succeed(item).
                 getter._value = item
                 sim = self.sim
-                fifo = sim._fifo
-                if fifo is None:
-                    heappush(sim._heap, (sim._now, sim._seq, getter))
-                else:
-                    fifo.append((sim._now, sim._seq, getter))
+                sim._fifo.append((sim._now, sim._seq, getter))
                 sim._seq += 1
                 if self.monitor is not None:
                     self._note_state()
@@ -269,11 +256,7 @@ class Store:
         if items:
             # Inlined event.succeed(next item).
             event._value = items.popleft()
-            fifo = sim._fifo
-            if fifo is None:
-                heappush(sim._heap, (sim._now, sim._seq, event))
-            else:
-                fifo.append((sim._now, sim._seq, event))
+            sim._fifo.append((sim._now, sim._seq, event))
             sim._seq += 1
         else:
             self._getters.append(event)

@@ -12,9 +12,10 @@ The static side of the determinism contract lives in
   schedules disagree (the closest thing a simulator has to a race report).
 - The tie auditor inside :class:`TraceDigest` counts same-timestamp pops
   that resume *different* processes: those orderings are decided purely by
-  heap insertion order, i.e. they are the places where an innocent refactor
-  can legally reorder the schedule.  High tie counts mean the model leans
-  hard on insertion order; the examples list names the processes involved.
+  push order (the ``seq`` tie-break), i.e. they are the places where an
+  innocent refactor can legally reorder the schedule.  High tie counts mean
+  the model leans hard on insertion order; the examples list names the
+  processes involved.
 
 Attach with :meth:`repro.sim.core.Simulation.set_trace`; overhead when
 detached is one ``is None`` test per event.
@@ -117,7 +118,7 @@ class TraceDigest:
             self.sim.set_trace(None)
 
     # ------------------------------------------------------------------
-    # Recording (called from Simulation.step)
+    # Recording (called from Simulation.run)
     # ------------------------------------------------------------------
 
     def record(self, when: float, seq: int, event: "Event") -> None:

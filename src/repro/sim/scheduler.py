@@ -39,12 +39,10 @@ Design notes (measured on CPython 3.11, reference perfbench scenarios):
   at a few hundred entries, where ``bisect``'s memmove is cheaper than a
   heap sift.
 
-Pop order is bit-identical to the binary heap — same ``(time, seq)``
-total order, same sequence-number assignment — which
-``tests/sim/test_scheduler_differential.py`` and the golden digests
-enforce; the legacy heap remains available as
-``Simulation(scheduler="heap")`` precisely so the two implementations can
-be diffed forever.
+Pop order is the binary heap's — the same ``(time, seq)`` total order
+and sequence-number assignment — which the golden digests pin end to end
+and ``tests/sim/heap_order.py`` checks from the pop stream of every run
+it is attached to.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: One scheduled occurrence: the tuple is its own comparison key.
 Entry = typing.Tuple[float, int, "Event"]
 
-#: Default current-bucket width in simulated seconds (see module docs).
+#: Current-bucket width in simulated seconds (see module docs).
 DEFAULT_BUCKET_WIDTH = 0.005
 
 
@@ -68,37 +66,32 @@ class CalendarQueue:
 
     Invariants (enforced by construction, checked by the property suite):
 
-    - ``run[run_idx:]`` is sorted ascending by ``(time, seq)`` and every
-      entry's time is ``< bucket_end``;
+    - ``run`` (its consumed prefix included) is sorted ascending by
+      ``(time, seq)`` and every entry's time is ``< bucket_end``;
     - every entry in ``far`` has time ``>= bucket_end`` *at all times*
       (``bucket_end`` only grows, and pushes route on it);
     - the consumed prefix ``run[:run_idx]`` holds only entries whose time
       is ``<= now``, so a fresh push (time ``> now``) can never belong
       inside it — ``insort`` over the whole list is therefore safe.
 
-    The hot simulation loop manipulates ``run``/``run_idx`` directly (as
-    hoisted locals, synced back on exit); everything else goes through
-    the methods.
+    :meth:`Simulation.run <repro.sim.core.Simulation.run>` is the only
+    kernel code that pops: it manipulates ``run``/``run_idx`` directly (as
+    hoisted locals, synced back on exit) and calls :meth:`advance`.  The
+    :meth:`push`/:meth:`head`/:meth:`pop` methods are the same operations
+    for standalone use, such as the primitive microbenchmarks.
     """
 
-    __slots__ = ("width", "run", "run_idx", "bucket_end", "far")
+    __slots__ = ("run", "run_idx", "bucket_end", "far")
 
-    def __init__(self, width: float = DEFAULT_BUCKET_WIDTH,
-                 start: float = 0.0) -> None:
-        if width <= 0:
-            raise ValueError(f"bucket width must be > 0, got {width}")
-        self.width = width
+    def __init__(self) -> None:
         #: Sorted entries of the current bucket; consumed by index.
         self.run: list[Entry] = []
         #: First unconsumed position in :attr:`run`.
         self.run_idx = 0
         #: Exclusive upper time bound of the current bucket.
-        self.bucket_end = start + width
+        self.bucket_end = DEFAULT_BUCKET_WIDTH
         #: Min-heap of entries at or beyond :attr:`bucket_end`.
         self.far: list[Entry] = []
-
-    def __len__(self) -> int:
-        return len(self.run) - self.run_idx + len(self.far)
 
     def push(self, entry: Entry) -> None:
         """File ``entry`` into the bucket or the far tier by its time."""
@@ -128,20 +121,16 @@ class CalendarQueue:
 
         Precondition: the current bucket is exhausted and the far tier is
         non-empty.  Entries within one bucket width of the earliest far
-        entry migrate into a freshly sorted run; ``bucket_end`` jumps
+        entry migrate into a fresh run — already sorted, because
+        ``heappop`` yields them in ascending order; ``bucket_end`` jumps
         directly there (empty buckets are never visited).
         """
         far = self.far
-        bucket_end = far[0][0] + self.width
+        bucket_end = far[0][0] + DEFAULT_BUCKET_WIDTH
         run: list[Entry] = []
         append = run.append
         while far and far[0][0] < bucket_end:
             append(heappop(far))
-        run.sort()
         self.run = run
         self.run_idx = 0
         self.bucket_end = bucket_end
-
-    def depths(self) -> dict[str, int]:
-        """Tier populations, for tests and scheduler introspection."""
-        return {"run": len(self.run) - self.run_idx, "far": len(self.far)}

@@ -82,6 +82,44 @@ def test_workload_arrival_process_names():
         WorkloadConfig(arrival_process="bursty").validate()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _non_finite_cases():
+    from repro.common.config import ChannelWorkload, PopulationConfig
+
+    def workload(field, value):
+        return WorkloadConfig(**{field: value}).validate
+
+    cases = [
+        ("batch_timeout", NAN, OrdererConfig(batch_timeout=NAN).validate),
+        ("batch_timeout", INF, OrdererConfig(batch_timeout=INF).validate),
+        ("rate", NAN, lambda: ChannelWorkload(rate=NAN).validate("ch")),
+        ("rate", INF, lambda: ChannelWorkload(rate=INF).validate("ch")),
+        ("skew", NAN, lambda: ChannelWorkload(skew=NAN).validate("ch")),
+        ("user_rate", NAN,
+         PopulationConfig(num_users=1, user_rate=NAN).validate),
+        ("user_rate", INF,
+         PopulationConfig(num_users=1, user_rate=INF).validate),
+    ]
+    for field in ("arrival_rate", "duration", "ordering_timeout",
+                  "endorsement_timeout", "resubmit_backoff"):
+        cases += [(field, NAN, workload(field, NAN)),
+                  (field, INF, workload(field, INF))]
+    for field in ("resubmit_jitter", "warmup", "cooldown"):
+        cases.append((field, NAN, workload(field, NAN)))
+    return [pytest.param(field, validate, id=f"{field}={value}")
+            for field, value, validate in cases]
+
+
+@pytest.mark.parametrize("field, validate", _non_finite_cases())
+def test_non_finite_values_rejected_naming_the_field(field, validate):
+    # A NaN slips past a plain ``x < 0`` check, and an infinite rate,
+    # delay or horizon cannot be scheduled; both must fail before a run.
+    with pytest.raises(ConfigurationError, match=field):
+        validate()
+
+
 def test_channel_requires_name_and_policy():
     with pytest.raises(ConfigurationError):
         ChannelConfig(name="").validate()

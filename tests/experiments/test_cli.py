@@ -61,6 +61,49 @@ def test_trace_checks_output_paths_before_running(tmp_path, capsys, flag):
     assert line.startswith(f"trace: {flag} {missing}:")
 
 
+@pytest.mark.parametrize("command", [
+    ["perfbench", "--smoke"],
+    ["crossval", "--smoke"],
+    ["scale", "--smoke"],
+    ["capacity", "--target-tps", "200"],
+    ["lint"],
+], ids=lambda command: command[0])
+def test_out_checked_before_any_work(tmp_path, capsys, command):
+    missing = tmp_path / "missing" / "out.json"
+    assert main([*command, "--out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""          # refused before simulating
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"{command[0]}: --out {missing}:")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rate", "nan"), ("--rate", "inf"),
+    ("--duration", "nan"), ("--duration", "inf"),
+])
+def test_non_finite_trace_flags_exit_2_with_one_line(flag, value):
+    # A subprocess with a timeout: a value that slips through would
+    # otherwise hang the run instead of failing this test.
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.cli", "trace", flag,
+         value],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("fabric-repro: ")
+    assert value in line
+
+
 def test_lint_subcommand_clean_on_shipped_tree(capsys):
     assert main(["lint"]) == 0
     output = capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.obs.sampler import UtilizationSampler, watch_resource, watch_store
 from repro.sim import Simulation
 from repro.sim.resources import Resource, Store
@@ -105,8 +106,9 @@ def test_sampler_checkpoints_all_monitors_and_stops_at_until():
 
 def test_sampler_rejects_non_positive_interval():
     sim = Simulation()
-    with pytest.raises(ValueError):
-        UtilizationSampler(sim, {}, interval=0.0)
+    for interval in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="sample_interval"):
+            UtilizationSampler(sim, {}, interval=interval)
 
 
 def test_busy_series_reports_per_interval_means():

@@ -15,13 +15,14 @@ ones:
    fires once the latest fires, with fired sub-events recorded in
    schedule order.
 
-The PR-10 array scheduler (FIFO ring + calendar bucket + far heap,
-:mod:`repro.sim.scheduler`) re-pins the same invariants differentially:
-over hypothesis-generated schedules — including adversarial horizons
-straddling bucket boundaries, cancel/re-arm interleavings, and due-now
-tie storms — the array scheduler and the legacy binary heap must produce
-bit-identical trace digests, and the calendar tiers must hold their
-routing invariant (every far entry at or beyond ``bucket_end``).
+The two-tier scheduler (FIFO ring + calendar bucket + far heap,
+:mod:`repro.sim.scheduler`) must pop exactly what a binary heap of
+``(time, seq)`` keys would.  Over hypothesis-generated schedules —
+including adversarial horizons straddling bucket boundaries, cancel/re-arm
+interleavings, and due-now tie storms — the pop stream is checked against
+that heap order (:func:`tests.sim.heap_order.assert_heap_order`), and the
+calendar tiers must hold their routing invariant (every far entry at or
+beyond ``bucket_end``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from hypothesis import given, settings
 from repro.sim.core import Simulation
 from repro.sim.sanitizer import TraceDigest
 from repro.sim.scheduler import DEFAULT_BUCKET_WIDTH
+from tests.sim.heap_order import PopLog, assert_heap_order
 
 # Delays as integer tenths keep arithmetic exact: equal draws mean exactly
 # equal simulated times, so tie-breaking is genuinely exercised.
@@ -238,7 +240,7 @@ def test_all_of_records_sub_events_in_schedule_order(delays):
 
 
 # ----------------------------------------------------------------------
-# 4. Array scheduler vs binary-heap oracle (PR-10)
+# 4. The two-tier scheduler pops in binary-heap order
 # ----------------------------------------------------------------------
 
 # Adversarial horizons for the calendar tiers: quarter-bucket quanta mix
@@ -257,32 +259,26 @@ adversarial_delays = st.lists(
         lambda ks: [k * _QUANTUM for k in ks])
 
 
-def _digest_chains(scheduler: str, schedules,
-                   keep_records: bool = False) -> TraceDigest:
-    sim = Simulation(scheduler=scheduler)
-    trace = TraceDigest(sim, keep_records=keep_records).attach()
-
+def _start_chains(sim: Simulation, schedules) -> None:
     def chain(delays):
         for delay in delays:
             yield sim.timeout(delay)
 
     for delays in schedules:
         sim.process(chain(delays))
-    sim.run()
-    trace.detach()
-    return trace
 
 
 @given(st.lists(adversarial_delays, min_size=1, max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_array_scheduler_matches_heap_under_adversarial_horizons(schedules):
-    """Tier migration never reorders: array digest == heap digest."""
-    array_trace = _digest_chains("array", schedules, keep_records=True)
-    heap_trace = _digest_chains("heap", schedules)
-    assert array_trace.hexdigest == heap_trace.hexdigest
-    # The pop stream must also be monotone in (time, seq) on its own.
-    for earlier, later in zip(array_trace.records, array_trace.records[1:]):
-        assert (later.time, later.seq) > (earlier.time, earlier.seq)
+    """Tier migration never reorders: every pop is the heap's pop."""
+    sim = Simulation()
+    log = PopLog()
+    sim.set_trace(log)
+    _start_chains(sim, schedules)
+    sim.run()
+    assert_heap_order(sim, log)
+    assert len(log) == sim._seq, "a drained run pops every push"
 
 
 @given(st.lists(adversarial_delays, min_size=1, max_size=6),
@@ -290,28 +286,47 @@ def test_array_scheduler_matches_heap_under_adversarial_horizons(schedules):
 @settings(max_examples=100, deadline=None)
 def test_bounded_runs_resume_identically_across_schedulers(schedules,
                                                            horizon):
-    """run(until=...) then run() pops the same global schedule.
+    """run(until=...) then run() pops the heap's global schedule.
 
-    The bounded stop can land mid-bucket (the array loop must un-pop its
-    lookahead entry exactly); resuming must replay the remainder in the
-    same order the heap would.
+    The bounded stop can land mid-bucket (the loop must un-pop its
+    lookahead entry exactly); resuming must replay the remainder in heap
+    order, and the split run must pop what an unsplit run pops.
     """
-    def run_split(scheduler: str) -> str:
-        sim = Simulation(scheduler=scheduler)
-        trace = TraceDigest(sim, keep_records=False).attach()
+    sim = Simulation()
+    log = PopLog()
+    sim.set_trace(log)
+    _start_chains(sim, schedules)
+    sim.run(until=horizon)
+    assert all(when <= horizon for when, _ in log)
+    assert_heap_order(sim, log)
+    sim.run()
+    assert_heap_order(sim, log)
 
-        def chain(delays):
-            for delay in delays:
-                yield sim.timeout(delay)
+    whole = Simulation()
+    unsplit = PopLog()
+    whole.set_trace(unsplit)
+    _start_chains(whole, schedules)
+    whole.run()
+    assert log == unsplit
 
-        for delays in schedules:
-            sim.process(chain(delays))
-        sim.run(until=horizon)
-        sim.run()
-        trace.detach()
-        return trace.hexdigest
 
-    assert run_split("array") == run_split("heap")
+class _TierInvariantHook:
+    """Trace hook asserting the calendar routing invariants at every pop."""
+
+    def __init__(self, sim: Simulation) -> None:
+        self.cal = sim._cal
+        self.pops = 0
+
+    def record(self, when, seq, event) -> None:
+        cal = self.cal
+        self.pops += 1
+        assert all(entry[0] >= cal.bucket_end for entry in cal.far), (
+            f"far entry below bucket_end={cal.bucket_end}")
+        # The run loop keeps run_idx in a local while it pops, so check
+        # the whole bucket: its consumed prefix sorts first anyway.
+        assert cal.run == sorted(cal.run), "bucket run lost its order"
+        assert all(entry[0] < cal.bucket_end for entry in cal.run), (
+            f"bucket entry at or beyond bucket_end={cal.bucket_end}")
 
 
 @given(st.lists(adversarial_delays, min_size=1, max_size=6))
@@ -319,24 +334,15 @@ def test_bounded_runs_resume_identically_across_schedulers(schedules,
 def test_calendar_far_tier_never_undercuts_bucket_end(schedules):
     """The routing invariant: far entries sit at or beyond bucket_end.
 
-    Checked after every pop via a step-driven run, so the invariant holds
-    across bucket rotations, not just at the end.
+    Checked at every pop via a trace hook, so the invariant holds across
+    bucket rotations, not just at the end.
     """
-    sim = Simulation(scheduler="array")
-
-    def chain(delays):
-        for delay in delays:
-            yield sim.timeout(delay)
-
-    for delays in schedules:
-        sim.process(chain(delays))
-    cal = sim._cal
-    while sim.peek() != float("inf"):
-        sim.step()
-        assert all(entry[0] >= cal.bucket_end for entry in cal.far), (
-            f"far entry below bucket_end={cal.bucket_end}")
-        unconsumed = cal.run[cal.run_idx:]
-        assert unconsumed == sorted(unconsumed), "bucket run lost its order"
+    sim = Simulation()
+    hook = _TierInvariantHook(sim)
+    sim.set_trace(hook)
+    _start_chains(sim, schedules)
+    sim.run()
+    assert hook.pops == sim._seq
 
 
 @st.composite
@@ -361,86 +367,81 @@ def interrupt_plans(draw):
 @settings(max_examples=150, deadline=None)
 def test_cancel_and_rearm_identical_across_schedulers(plan):
     """Interrupted timeouts stay scheduled; popping them later (with no
-    waiter) must not disturb either scheduler's order, and the re-armed
-    timeouts must fire identically."""
+    waiter) must not disturb heap order, and the re-armed timeouts must
+    fire at their own times."""
     from repro.sim.events import Interrupt
 
     sleepers, interrupts = plan
+    sim = Simulation()
+    log = PopLog()
+    sim.set_trace(log)
+    outcomes = []
 
-    def run_once(scheduler: str) -> tuple[str, list]:
-        sim = Simulation(scheduler=scheduler)
-        trace = TraceDigest(sim, keep_records=False).attach()
-        outcomes = []
-
-        def sleeper(index, start, nap, renap):
+    def sleeper(index, start, nap, renap):
+        try:
+            yield sim.timeout(start * _QUANTUM)
+            yield sim.timeout(nap * _QUANTUM)
+            outcomes.append((index, "slept", sim.now))
+            return
+        except Interrupt:
+            pass
+        # Cancelled: re-arm with the shorter nap, tolerating further
+        # interrupts (each one cancels and re-arms again).
+        while True:
             try:
-                yield sim.timeout(start * _QUANTUM)
-                yield sim.timeout(nap * _QUANTUM)
-                outcomes.append((index, "slept", sim.now))
+                yield sim.timeout(renap * _QUANTUM)
+                outcomes.append((index, "re-armed", sim.now))
                 return
             except Interrupt:
-                pass
-            # Cancelled: re-arm with the shorter nap, tolerating further
-            # interrupts (each one cancels and re-arms again).
-            while True:
-                try:
-                    yield sim.timeout(renap * _QUANTUM)
-                    outcomes.append((index, "re-armed", sim.now))
-                    return
-                except Interrupt:
-                    continue
+                continue
 
-        def interrupter(target, when):
-            yield sim.timeout(when * _QUANTUM)
-            target.interrupt("cancel")
+    def interrupter(target, when):
+        yield sim.timeout(when * _QUANTUM)
+        target.interrupt("cancel")
 
-        processes = [sim.process(sleeper(i, start, nap, renap))
-                     for i, (start, nap, renap) in enumerate(sleepers)]
-        for target_index, when in interrupts:
-            sim.process(interrupter(processes[target_index], when))
-        sim.run()
-        trace.detach()
-        return trace.hexdigest, outcomes
-
-    array_digest, array_outcomes = run_once("array")
-    heap_digest, heap_outcomes = run_once("heap")
-    assert array_digest == heap_digest
-    assert array_outcomes == heap_outcomes
-    assert len(array_outcomes) == len(sleepers), "every sleeper finishes"
+    processes = [sim.process(sleeper(i, start, nap, renap))
+                 for i, (start, nap, renap) in enumerate(sleepers)]
+    for target_index, when in interrupts:
+        sim.process(interrupter(processes[target_index], when))
+    sim.run()
+    assert_heap_order(sim, log)
+    assert len(outcomes) == len(sleepers), "every sleeper finishes"
+    for index, how, when in outcomes:
+        start, nap, _ = sleepers[index]
+        if how == "slept":
+            assert when == start * _QUANTUM + nap * _QUANTUM
 
 
 @given(st.integers(min_value=1, max_value=40))
 @settings(max_examples=60, deadline=None)
 def test_due_now_events_fire_in_fifo_order(count):
     """Due-now triggers (the FIFO ring tier) keep strict arrival order."""
-    def run_once(scheduler: str) -> list[int]:
-        from repro.sim.events import Event
+    from repro.sim.events import Event
 
-        sim = Simulation(scheduler=scheduler)
-        fired = []
+    sim = Simulation()
+    log = PopLog()
+    sim.set_trace(log)
+    fired = []
 
-        def firer(events):
-            yield sim.timeout(1.0)
-            # Trigger in reversed creation order: pop order must follow
-            # the trigger (seq) order, not creation order.
-            for event in reversed(events):
-                event.succeed()
-            yield sim.timeout(1.0)
+    def firer(events):
+        yield sim.timeout(1.0)
+        # Trigger in reversed creation order: pop order must follow
+        # the trigger (seq) order, not creation order.
+        for event in reversed(events):
+            event.succeed()
+        yield sim.timeout(1.0)
 
-        def waiter(index, event):
-            yield event
-            fired.append(index)
+    def waiter(index, event):
+        yield event
+        fired.append(index)
 
-        events = [Event(sim) for _ in range(count)]
-        for index, event in enumerate(events):
-            sim.process(waiter(index, event))
-        sim.process(firer(events))
-        sim.run()
-        return fired
-
-    array_order = run_once("array")
-    assert array_order == list(reversed(range(count)))
-    assert array_order == run_once("heap")
+    events = [Event(sim) for _ in range(count)]
+    for index, event in enumerate(events):
+        sim.process(waiter(index, event))
+    sim.process(firer(events))
+    sim.run()
+    assert fired == list(reversed(range(count)))
+    assert_heap_order(sim, log)
 
 
 @given(delay_lists)

@@ -29,6 +29,16 @@ def test_negative_timeout_rejected():
         sim.timeout(-1)  # simlint: disable=SL012
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+def test_non_finite_timeout_rejected(delay):
+    # Neither can pop in time order: NaN compares false with every bucket
+    # bound and inf never migrates out of the far tier.
+    sim = Simulation()
+    with pytest.raises(ValueError, match="finite"):
+        sim.timeout(delay)  # simlint: disable=SL012
+    assert sim._seq == 0, "nothing was scheduled"
+
+
 def test_timeout_carries_value():
     sim = Simulation()
     seen = []
@@ -84,6 +94,16 @@ def test_run_until_past_time_rejected():
     sim.run(until=5.0)
     with pytest.raises(ValueError):
         sim.run(until=1.0)
+
+
+@pytest.mark.parametrize("until", [float("nan"), float("inf")])
+def test_run_until_non_finite_rejected(until):
+    # A NaN horizon never stops a periodic process; draining to an
+    # infinite one would leave the clock at inf.
+    sim = Simulation()
+    with pytest.raises(ValueError, match="finite"):
+        sim.run(until=until)
+    assert sim.now == 0.0
 
 
 def test_processes_interleave_deterministically():
@@ -388,14 +408,6 @@ def test_active_process_is_tracked():
     sim.run()
     assert seen == [handle]
     assert sim.active_process is None
-
-
-def test_enqueue_rejects_negative_delay():
-    # The heap-level guard: a negative delay would schedule before
-    # already-queued events and silently corrupt time ordering.
-    sim = Simulation()
-    with pytest.raises(ValueError):
-        sim._enqueue(sim.event(), delay=-0.001)
 
 
 def test_negative_timeout_rejected_inside_process():
