@@ -49,10 +49,15 @@ class OrdererConfig:
                 "solo ordering runs on a single node by definition")
         if self.batch_size < 1:
             raise ConfigurationError("BatchSize must be >= 1")
-        if not 0 < self.batch_timeout < inf:
-            raise ConfigurationError(
-                f"batch_timeout must be finite and positive, got "
-                f"{self.batch_timeout}")
+        # Written so that NaN fails it: the kernel cannot schedule a NaN or
+        # infinite delay, and would fail mid-run without naming the field.
+        for field in ("batch_timeout", "raft_election_timeout",
+                      "raft_heartbeat_interval", "kafka_session_timeout",
+                      "kafka_heartbeat_interval", "kafka_isr_ack_timeout"):
+            value = getattr(self, field)
+            if not 0 < value < inf:
+                raise ConfigurationError(
+                    f"{field} must be finite and positive, got {value}")
         if self.kind == "kafka":
             if self.num_brokers < 1 or self.num_zookeepers < 1:
                 raise ConfigurationError(
@@ -235,6 +240,10 @@ class WorkloadConfig:
         if not self.cooldown >= 0:
             raise ConfigurationError(
                 f"cooldown must be >= 0, got {self.cooldown}")
+        if not 0 <= self.read_write_conflict_skew < inf:
+            raise ConfigurationError(
+                f"read_write_conflict_skew must be finite and >= 0, got "
+                f"{self.read_write_conflict_skew}")
         if self.warmup + self.cooldown >= self.duration:
             raise ConfigurationError(
                 f"warmup ({self.warmup:g}s) + cooldown ({self.cooldown:g}s) "
@@ -333,6 +342,15 @@ class TopologyConfig:
         if self.gossip_fanout < 0:
             raise ConfigurationError(
                 f"gossip_fanout must be >= 0, got {self.gossip_fanout}")
+        if not 0 < self.network_bandwidth < inf:
+            raise ConfigurationError(
+                f"network_bandwidth must be finite and positive, got "
+                f"{self.network_bandwidth}")
+        for field in ("network_latency", "network_jitter"):
+            value = getattr(self, field)
+            if not 0 <= value < inf:
+                raise ConfigurationError(
+                    f"{field} must be finite and >= 0, got {value}")
         self.orderer.validate()
         self.channel.validate()
         self.statedb.validate()

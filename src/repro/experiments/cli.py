@@ -52,7 +52,8 @@ def _output_dirs_writable(args) -> bool:
     failed write.
     """
     for flag, path in (("--out", args.out), ("--trace-out", args.trace_out),
-                       ("--summary-out", args.summary_out)):
+                       ("--summary-out", args.summary_out),
+                       ("--write-baseline", args.write_baseline)):
         if path is None:
             continue
         directory = pathlib.Path(path).parent

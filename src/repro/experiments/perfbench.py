@@ -208,30 +208,26 @@ def run_scenario(name: str, seed: int = GOLDEN_SEED,
     wall clock (best-of-N).  Every repeat computes the same schedule, the
     same metrics, and the same digest — only host noise varies — so
     best-of-N estimates the run's intrinsic cost, the quantity the bench
-    trajectory tracks.  The garbage collector is paused around each timed
-    section for the same reason: collection pauses measure the host's
-    allocation history, not the simulator.
+    trajectory tracks.  The garbage collector stays on, as it is for
+    every user: how often it collects and how much it re-scans follow
+    from the simulator's own allocations and data layout, so its time is
+    part of the run's cost.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     scenario = SCENARIOS[name].at_scale(scale)
     wall = float("inf")
-    gc_was_enabled = gc.isenabled()
     for _ in range(repeats):
         timed = _build_network(scenario, seed)
-        if gc_was_enabled:
-            gc.collect()
-            gc.disable()
-        try:
-            # Wall-clock reads are the whole point of this harness: the
-            # measured quantity is host time, never fed back into the
-            # simulation.
-            started = time.perf_counter()  # simlint: disable=SL002
-            metrics = timed.run_workload()
-            elapsed = time.perf_counter() - started  # simlint: disable=SL002
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        # Start each repeat from the same heap: the previous repeat's
+        # network is garbage now, and collecting it is not this run's cost.
+        gc.collect()
+        # Wall-clock reads are the whole point of this harness: the
+        # measured quantity is host time, never fed back into the
+        # simulation.
+        started = time.perf_counter()  # simlint: disable=SL002
+        metrics = timed.run_workload()
+        elapsed = time.perf_counter() - started  # simlint: disable=SL002
         wall = min(wall, elapsed)
     events = timed.sim.events_processed
     return PerfResult(

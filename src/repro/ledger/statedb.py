@@ -8,15 +8,14 @@ of MVCC validation.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import typing
 
 from repro.common.types import KVWrite, Version
 
 
-@dataclasses.dataclass(frozen=True)
-class VersionedValue:
-    """A stored value and the height at which it was written."""
+class VersionedValue(typing.NamedTuple):
+    """A stored value and the height at which it was written (a view that
+    reads build around the stored tuple)."""
 
     value: bytes
     version: Version
@@ -32,10 +31,16 @@ class WorldState:
     A sorted key index is maintained incrementally (``bisect.insort`` on
     insert, bisect + delete on removal), so ``range_scan`` is
     O(log n + k) and ``keys`` is O(n) — not O(n log n) per call.
+
+    Entries are stored as plain ``(value, version)`` tuples, and reads
+    wrap them in :class:`VersionedValue`.  CPython's cyclic garbage
+    collector stops tracking an exact tuple whose items are all
+    untracked, but never a ``NamedTuple`` or dataclass instance, and a
+    peer keeps every key for the whole run.
     """
 
     def __init__(self) -> None:
-        self._data: dict[str, VersionedValue] = {}
+        self._data: dict[str, tuple[bytes, Version]] = {}
         self._sorted_keys: list[str] = []
 
     def __len__(self) -> int:
@@ -46,12 +51,13 @@ class WorldState:
 
     def get(self, key: str) -> VersionedValue | None:
         """The current value and version of ``key``, or None if absent."""
-        return self._data.get(key)
+        entry = self._data.get(key)
+        return VersionedValue(*entry) if entry is not None else None
 
     def get_version(self, key: str) -> Version | None:
         """The current version of ``key``, or None if absent."""
         entry = self._data.get(key)
-        return entry.version if entry is not None else None
+        return entry[1] if entry is not None else None
 
     def apply_write(self, write: KVWrite, version: Version) -> None:
         """Apply one committed write at ``version``."""
@@ -62,7 +68,7 @@ class WorldState:
         else:
             if write.key not in self._data:
                 bisect.insort(self._sorted_keys, write.key)
-            self._data[write.key] = VersionedValue(write.value, version)
+            self._data[write.key] = (write.value, version)
 
     def apply_writes(self, writes: typing.Iterable[KVWrite],
                      version: Version) -> None:
@@ -80,12 +86,14 @@ class WorldState:
         """All (key, value) with ``start_key <= key < end_key``, sorted."""
         lo = bisect.bisect_left(self._sorted_keys, start_key)
         hi = bisect.bisect_left(self._sorted_keys, end_key)
-        return [(key, self._data[key]) for key in self._sorted_keys[lo:hi]]
+        return [(key, VersionedValue(*self._data[key]))
+                for key in self._sorted_keys[lo:hi]]
 
     def keys(self) -> list[str]:
         """All keys currently present, sorted."""
         return list(self._sorted_keys)
 
-    def items(self) -> list[tuple[str, VersionedValue]]:
-        """All (key, value) pairs in key order (used by snapshots)."""
+    def items(self) -> list[tuple[str, tuple[bytes, Version]]]:
+        """All ``(key, (value, version))`` entries in key order, as stored
+        (used by snapshots)."""
         return [(key, self._data[key]) for key in self._sorted_keys]

@@ -251,9 +251,8 @@ class StateBackend:
     def restore_snapshot(self, snap: snapshot_mod.Snapshot) -> None:
         """Replace the whole state with ``snap``'s entries."""
         self.wipe()
-        for key, value in snap.entries:
-            self._store.apply_write(
-                KVWrite(key=key, value=value.value), value.version)
+        for key, (value, version) in snap.entries:
+            self._store.apply_write(KVWrite(key=key, value=value), version)
         self.stats.restores += 1
         self._pending_cost += (snap.manifest.byte_size
                                * self.costs.snapshot_io_per_byte)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.common.crypto import sha256_hex
-from repro.ledger.statedb import VersionedValue, WorldState
+from repro.common.types import Version
+from repro.ledger.statedb import WorldState
 
 #: Approximate serialized overhead per entry beyond key and value bytes
 #: (version tuple, length prefixes).
@@ -29,26 +30,34 @@ class SnapshotManifest:
     byte_size: int         # serialized size charged to snapshot I/O
 
 
+#: One frozen state entry: ``(key, (value, version))``.
+Entry = tuple[str, tuple[bytes, Version]]
+
+
 @dataclasses.dataclass(frozen=True)
 class Snapshot:
-    """A manifest plus the frozen state entries, in key order."""
+    """A manifest plus the frozen state entries, in key order.
+
+    The entries hold the world state's stored ``(value, version)``
+    tuples, which the cyclic garbage collector stops tracking.
+    """
 
     manifest: SnapshotManifest
-    entries: tuple[tuple[str, VersionedValue], ...]
+    entries: tuple[Entry, ...]
 
 
-def state_hash(entries: tuple[tuple[str, VersionedValue], ...]) -> str:
+def state_hash(entries: tuple[Entry, ...]) -> str:
     """Stable digest over sorted state entries."""
-    parts = [f"{key}:{sha256_hex(value.value)}:{value.version}"
-             for key, value in entries]
+    parts = [f"{key}:{sha256_hex(value)}:{version}"
+             for key, (value, version) in entries]
     return sha256_hex("|".join(parts).encode("utf-8"))
 
 
 def take(state: WorldState, height: int) -> Snapshot:
     """Snapshot ``state`` as of ``height`` committed blocks."""
     entries = tuple(state.items())
-    byte_size = sum(len(key) + len(value.value) + ENTRY_OVERHEAD_BYTES
-                    for key, value in entries)
+    byte_size = sum(len(key) + len(value) + ENTRY_OVERHEAD_BYTES
+                    for key, (value, _) in entries)
     manifest = SnapshotManifest(
         height=height, state_hash=state_hash(entries),
         entry_count=len(entries), byte_size=byte_size)

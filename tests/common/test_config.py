@@ -108,6 +108,20 @@ def _non_finite_cases():
                   (field, INF, workload(field, INF))]
     for field in ("resubmit_jitter", "warmup", "cooldown"):
         cases.append((field, NAN, workload(field, NAN)))
+    cases += [("read_write_conflict_skew", NAN,
+               workload("read_write_conflict_skew", NAN)),
+              ("read_write_conflict_skew", INF,
+               workload("read_write_conflict_skew", INF))]
+    for field in ("network_bandwidth", "network_latency", "network_jitter"):
+        cases += [(field, value, TopologyConfig(**{field: value}).validate)
+                  for value in (NAN, INF)]
+    cases.append(("network_bandwidth", 0.0,
+                  TopologyConfig(network_bandwidth=0.0).validate))
+    for field in ("raft_election_timeout", "raft_heartbeat_interval",
+                  "kafka_session_timeout", "kafka_heartbeat_interval",
+                  "kafka_isr_ack_timeout"):
+        cases += [(field, value, OrdererConfig(**{field: value}).validate)
+                  for value in (NAN, INF, -1.0)]
     return [pytest.param(field, validate, id=f"{field}={value}")
             for field, value, validate in cases]
 

@@ -77,6 +77,16 @@ def test_out_checked_before_any_work(tmp_path, capsys, command):
     assert line.startswith(f"{command[0]}: --out {missing}:")
 
 
+def test_lint_write_baseline_checked_before_the_sweep(tmp_path, capsys):
+    missing = tmp_path / "missing" / "baseline.json"
+    assert main(["lint", "--project", "--write-baseline",
+                 str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""          # refused before sweeping
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"lint: --write-baseline {missing}:")
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--rate", "nan"), ("--rate", "inf"),
     ("--duration", "nan"), ("--duration", "inf"),

@@ -1,8 +1,11 @@
 """Tests for the discrete-event simulation loop and processes."""
 
+import gc
+
 import pytest
 
 from repro.sim import Interrupt, Simulation
+from repro.sim.core import YOUNG_GC_THRESHOLD
 
 
 def test_clock_starts_at_zero():
@@ -421,3 +424,66 @@ def test_negative_timeout_rejected_inside_process():
     with pytest.raises(ValueError):
         sim.run(until=process)
     assert sim.now == 1.0
+
+
+def _run_ending(how):
+    """Run a one-process simulation that ends ``how``; return what the
+    process saw of the collector's settings."""
+    sim = Simulation()
+    seen = []
+
+    def watcher(sim):
+        seen.append((gc.get_threshold(), gc.isenabled()))
+        yield sim.timeout(1)
+        seen.append((gc.get_threshold(), gc.isenabled()))
+        if how == "failure":
+            raise RuntimeError("boom")
+
+    done = sim.process(watcher(sim))
+    if how == "failure":
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+    elif how == "event":
+        sim.run(until=done)
+    elif how == "horizon":
+        sim.run(until=0.5)
+        sim.run(until=2.0)
+    else:
+        sim.run()
+    assert len(seen) == 2
+    return seen
+
+
+@pytest.fixture
+def caller_gc_settings():
+    thresholds, enabled = gc.get_threshold(), gc.isenabled()
+    yield
+    gc.set_threshold(*thresholds)
+    assert gc.isenabled() == enabled
+
+
+@pytest.mark.usefixtures("caller_gc_settings")
+@pytest.mark.parametrize("how", ["drain", "horizon", "event", "failure"])
+@pytest.mark.parametrize("caller", [(500, 11, 12),
+                                    (5 * YOUNG_GC_THRESHOLD, 11, 12)])
+def test_run_raises_young_gc_threshold_and_restores_it(how, caller):
+    gc.set_threshold(*caller)
+    enabled = gc.isenabled()
+    for thresholds, inside_enabled in _run_ending(how):
+        assert thresholds == (max(caller[0], YOUNG_GC_THRESHOLD),
+                              *caller[1:])
+        assert inside_enabled == enabled
+    assert gc.get_threshold() == caller
+    assert gc.isenabled() == enabled
+
+
+@pytest.mark.usefixtures("caller_gc_settings")
+@pytest.mark.parametrize("how", ["drain", "failure"])
+def test_run_leaves_a_zero_gc_threshold_alone(how):
+    # 0 means the caller turned automatic collection off.
+    gc.set_threshold(0, 11, 12)
+    enabled = gc.isenabled()
+    for thresholds, inside_enabled in _run_ending(how):
+        assert thresholds == (0, 11, 12)
+        assert inside_enabled == enabled
+    assert gc.get_threshold() == (0, 11, 12)

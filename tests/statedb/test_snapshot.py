@@ -79,8 +79,8 @@ def test_snapshot_is_a_frozen_copy_not_a_view():
     backend.apply_writes([KVWrite("k", b"old")], version=(1, 0))
     snap = backend.take_snapshot(height=1)
     backend.apply_writes([KVWrite("k", b"new")], version=(2, 0))
-    [(key, entry)] = snap.entries
-    assert (key, entry.value, entry.version) == ("k", b"old", (1, 0))
+    [(key, (value, version))] = snap.entries
+    assert (key, value, version) == ("k", b"old", (1, 0))
 
 
 # ----------------------------------------------------------------------
