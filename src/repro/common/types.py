@@ -16,6 +16,9 @@ import typing
 
 from repro.common.crypto import Signature, sha256_hex
 
+if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.ledger.ledger import CommitPlan
+
 # A state version is the (block number, tx number) that last wrote a key —
 # Fabric calls this the key's "height".
 Version = typing.Tuple[int, int]
@@ -205,6 +208,10 @@ class Block:
     channel: str
     data_hash: str = ""
     metadata: BlockMetadata = dataclasses.field(default_factory=BlockMetadata)
+    #: The ledger's commit plan, built by the first peer to commit this
+    #: block and reused by every peer with the same validation flags.
+    commit_plan: "CommitPlan | None" = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.data_hash:
@@ -225,8 +232,16 @@ class Block:
         return self.header_hash().encode("utf-8")
 
     def wire_size(self) -> int:
-        """Approximate serialized size in bytes for network transfer."""
-        return 256 + sum(tx.wire_size() for tx in self.transactions)
+        """Approximate serialized size in bytes for network transfer.
+
+        Cached per instance: the transactions never change, and every
+        gossip relay hop sends the block again.
+        """
+        cached = self.__dict__.get("_wire_size")
+        if cached is None:
+            cached = 256 + sum(tx.wire_size() for tx in self.transactions)
+            self.__dict__["_wire_size"] = cached
+        return cached
 
     def __len__(self) -> int:
         return len(self.transactions)

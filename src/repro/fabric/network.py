@@ -460,8 +460,10 @@ class FabricNetwork:
                                 bucket=bucket)
 
     def assert_ledgers_consistent(self) -> None:
-        """All peers hold identical, internally consistent chains
-        (checked per channel)."""
+        """All peers hold identical, internally consistent chains, and
+        peers at the same height hold the same world state (checked per
+        channel, by :meth:`~repro.statedb.backend.StateBackend.state_hash`).
+        """
         for channel in self.channel_names:
             reference = self.peers[0].ledger_for(channel)
             for peer in self.peers[1:]:
@@ -478,3 +480,14 @@ class FabricNetwork:
                 if not peer.ledger_for(channel).blocks.verify_chain():
                     raise AssertionError(
                         f"{peer.name} chain {channel} fails verification")
+            # height -> the first peer seen there and its state hash
+            states: dict[int, tuple[str, str]] = {}
+            for peer in self.peers:
+                ledger = peer.ledger_for(channel)
+                digest = ledger.state.state_hash()
+                first, expected = states.setdefault(
+                    ledger.height, (peer.name, digest))
+                if digest != expected:
+                    raise AssertionError(
+                        f"state of {peer.name} on {channel} differs from "
+                        f"{first}'s at height {ledger.height}")

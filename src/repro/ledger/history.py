@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import typing
 
+from repro.ledger.statedb import CommittedWrite
+
 
 class HistoryEntry(typing.NamedTuple):
     """One committed write to a key."""
@@ -14,40 +16,43 @@ class HistoryEntry(typing.NamedTuple):
     is_delete: bool
 
 
-#: A stored write: the four :class:`HistoryEntry` fields plus the key's
-#: previous node, ``None`` for its first write.
-_Node = tuple[int, int, str, bool, "_Node | None"]
-
-
 class HistoryDB:
     """Per-key write history, equivalent to Fabric's history database.
 
-    Each key's writes are a chain of plain tuples, newest first:
-    ``(block_number, tx_number, tx_id, is_delete, previous)``.  Like the
-    world state's entries (:class:`~repro.ledger.statedb.WorldState`),
-    they leave the cyclic garbage collector's view, which a list never
-    does; reads build :class:`HistoryEntry` views.
+    One plain-tuple record per committed block, ``(block_number,
+    writes)``: the block's valid writes in commit order, the same tuple
+    for every peer that commits the block with the same flags (its
+    :class:`~repro.ledger.ledger.CommitPlan`).  Nothing reads the history
+    during a run, so queries scan the records and build
+    :class:`HistoryEntry` views on demand.  The records also replay a lost
+    state (:meth:`~repro.ledger.ledger.Ledger.rebuild_state`).
     """
 
     def __init__(self) -> None:
-        self._history: dict[str, _Node] = {}
+        self._blocks: list[tuple[int, tuple[CommittedWrite, ...]]] = []
 
-    def record(self, key: str, entry: HistoryEntry) -> None:
-        self._history[key] = (*entry, self._history.get(key))
+    def record(self, block_number: int,
+               writes: tuple[CommittedWrite, ...]) -> None:
+        """Record the valid writes of committed block ``block_number``."""
+        self._blocks.append((block_number, writes))
+
+    def since(self, height: int) -> list[tuple[CommittedWrite, ...]]:
+        """The writes of each recorded block numbered ``height`` or above,
+        one tuple per block in commit order."""
+        return [writes for number, writes in self._blocks if number >= height]
 
     def for_key(self, key: str) -> list[HistoryEntry]:
         """All writes to ``key`` in commit order (empty if never written)."""
-        entries = []
-        node = self._history.get(key)
-        while node is not None:
-            entries.append(HistoryEntry(*node[:4]))
-            node = node[4]
-        entries.reverse()
-        return entries
+        return [HistoryEntry(version[0], version[1], tx_id, is_delete)
+                for _number, writes in self._blocks
+                for write_key, (_value, version), is_delete, tx_id in writes
+                if write_key == key]
 
     def last_write(self, key: str) -> HistoryEntry | None:
-        node = self._history.get(key)
-        return HistoryEntry(*node[:4]) if node is not None else None
+        entries = self.for_key(key)
+        return entries[-1] if entries else None
 
     def __len__(self) -> int:
-        return len(self._history)
+        """The number of keys ever written."""
+        return len({write[0] for _number, writes in self._blocks
+                    for write in writes})

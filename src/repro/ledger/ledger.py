@@ -10,10 +10,13 @@ commit batch, and periodic snapshots enable catch-up by snapshot + replay.
 
 from __future__ import annotations
 
+import typing
+
 from repro.common.errors import ValidationError
-from repro.common.types import Block, KVWrite, ValidationCode, Version
+from repro.common.types import Block, ValidationCode
 from repro.ledger.blockchain import BlockStore
-from repro.ledger.history import HistoryDB, HistoryEntry
+from repro.ledger.history import HistoryDB
+from repro.ledger.statedb import CommittedWrite, committed_write
 from repro.statedb.backend import StateBackend
 from repro.statedb.snapshot import Snapshot
 
@@ -25,6 +28,43 @@ def _default_backend() -> StateBackend:
     return LevelDBBackend(CostModel())
 
 
+class CommitPlan(typing.NamedTuple):
+    """The peer-independent part of committing a block with given flags.
+
+    Every peer on a channel commits the same block object, and every peer
+    whose flags match commits it the same way, so the first such commit
+    builds this plan and caches it on the block (:attr:`Block.commit_plan`)
+    for the rest to reuse.  A commit with other flags builds its own plan,
+    which replaces the cached one.
+    """
+
+    #: The validation flags the plan was built for.
+    flags: tuple[ValidationCode, ...]
+    #: Every transaction's id, valid or not, in block order.
+    tx_ids: tuple[str, ...]
+    #: How many transactions are valid.
+    valid: int
+    #: The valid transactions' writes in block order: one version tuple
+    #: per transaction, one ``(value, version)`` entry per write.
+    writes: tuple[CommittedWrite, ...]
+
+    @classmethod
+    def build(cls, block: Block,
+              flags: tuple[ValidationCode, ...]) -> "CommitPlan":
+        writes: list[CommittedWrite] = []
+        valid = 0
+        for tx_number, (tx, flag) in enumerate(
+                zip(block.transactions, flags)):
+            if flag is not ValidationCode.VALID:
+                continue
+            valid += 1
+            version = (block.number, tx_number)
+            writes.extend(committed_write(write, version, tx.tx_id)
+                          for write in tx.rwset.writes)
+        return cls(flags, tuple(tx.tx_id for tx in block.transactions),
+                   valid, tuple(writes))
+
+
 class Ledger:
     """One peer's ledger for one channel."""
 
@@ -34,6 +74,9 @@ class Ledger:
         self.blocks = BlockStore(channel)
         self.state = backend if backend is not None else _default_backend()
         self.history = HistoryDB()
+        # One record per block of the chain: a replay from genesis
+        # replays the (empty) genesis block too.
+        self.history.record(0, ())
         #: Snapshots taken on this ledger, oldest first (catch-up source).
         self.snapshots: list[Snapshot] = []
         self._committed_tx_ids: set[str] = set()
@@ -56,44 +99,35 @@ class Ledger:
         """
         return tx_id in self._committed_tx_ids
 
-    @staticmethod
-    def _valid_writes(block: Block) -> list[tuple[KVWrite, Version]]:
-        """The (write, version) batch of a block's valid transactions."""
-        batch: list[tuple[KVWrite, Version]] = []
-        for tx_number, (tx, flag) in enumerate(
-                zip(block.transactions, block.metadata.validation_flags)):
-            if flag is not ValidationCode.VALID:
-                continue
-            version = (block.number, tx_number)
-            batch.extend((write, version) for write in tx.rwset.writes)
-        return batch
-
-    def commit_block(self, block: Block) -> None:
+    def commit_block(self, block: Block,
+                     flags: typing.Sequence[ValidationCode] | None = None,
+                     ) -> None:
         """Append ``block`` and apply the write sets of its valid txs.
 
-        The block's metadata must already carry one validation flag per
-        transaction (set by the validator).  All valid write sets go to the
-        state backend as a single commit batch, mirroring Fabric's one
-        state-DB update batch per block (and enabling bulk-write modeling).
+        ``flags`` are this peer's verdicts, one per transaction; without
+        them the flags in the block's metadata apply.  All valid write
+        sets go to the state backend as a single commit batch, mirroring
+        Fabric's one state-DB update batch per block (and enabling
+        bulk-write modeling).  The per-transaction work is the block's
+        :class:`CommitPlan`, shared with every peer that commits the same
+        block with the same flags.
         """
-        flags = block.metadata.validation_flags
+        if flags is None:
+            flags = block.metadata.validation_flags
         if len(flags) != len(block.transactions):
             raise ValidationError(
                 f"block {block.number}: {len(flags)} validation flags for "
                 f"{len(block.transactions)} transactions")
+        key = tuple(flags)
+        plan = block.commit_plan
+        if plan is None or plan.flags != key:
+            plan = block.commit_plan = CommitPlan.build(block, key)
         self.blocks.append(block)
-        for tx_number, (tx, flag) in enumerate(
-                zip(block.transactions, flags)):
-            self._committed_tx_ids.add(tx.tx_id)
-            if flag is not ValidationCode.VALID:
-                self.invalid_tx_count += 1
-                continue
-            self.valid_tx_count += 1
-            for write in tx.rwset.writes:
-                self.history.record(write.key, HistoryEntry(
-                    block_number=block.number, tx_number=tx_number,
-                    tx_id=tx.tx_id, is_delete=write.is_delete))
-        self.state.commit_batch(self._valid_writes(block))
+        self._committed_tx_ids.update(plan.tx_ids)
+        self.valid_tx_count += plan.valid
+        self.invalid_tx_count += len(plan.tx_ids) - plan.valid
+        self.history.record(block.number, plan.writes)
+        self.state.commit_batch(plan.writes)
 
     def take_snapshot(self) -> Snapshot:
         """Snapshot the current state at the current height."""
@@ -105,8 +139,8 @@ class Ledger:
         """Rebuild a lost state DB from the latest snapshot + block replay.
 
         Wipes the backend, restores the most recent snapshot (if any), and
-        replays the valid write sets of every block past the snapshot
-        height from the local block store.  Returns ``(snapshot_height,
+        replays this peer's committed writes of every block past the
+        snapshot height from its history records.  Returns ``(snapshot_height,
         replayed_blocks)`` — snapshot_height 0 means genesis replay.  The
         rebuild cost accrues on the backend; the caller drains and charges
         it on the simulation clock.
@@ -118,8 +152,7 @@ class Ledger:
             self.state.restore_snapshot(snap)
             start_height = snap.manifest.height
         replayed = 0
-        for number in range(start_height, self.height):
-            block = self.blocks.get(number)
-            self.state.replay_writes(self._valid_writes(block))
+        for writes in self.history.since(start_height):
+            self.state.replay_writes(writes)
             replayed += 1
         return start_height, replayed

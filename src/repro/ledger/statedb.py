@@ -13,6 +13,24 @@ import typing
 from repro.common.types import KVWrite, Version
 
 
+#: A stored state entry: ``(value, version)``.
+StateEntry = tuple[bytes, Version]
+
+#: One committed write, as the ledger applies and records it:
+#: ``(key, (value, version), is_delete, tx_id)``.  A commit plan
+#: (:class:`~repro.ledger.ledger.CommitPlan`) builds each once per block,
+#: and every peer that commits the block with the same flags stores that
+#: same entry.  A delete's entry is never stored; the history reads its
+#: version.
+CommittedWrite = tuple[str, StateEntry, bool, str]
+
+
+def committed_write(write: KVWrite, version: Version,
+                    tx_id: str = "") -> CommittedWrite:
+    """``write`` committed at ``version`` by transaction ``tx_id``."""
+    return (write.key, (write.value, version), write.is_delete, tx_id)
+
+
 class VersionedValue(typing.NamedTuple):
     """A stored value and the height at which it was written (a view that
     reads build around the stored tuple)."""
@@ -40,7 +58,7 @@ class WorldState:
     """
 
     def __init__(self) -> None:
-        self._data: dict[str, tuple[bytes, Version]] = {}
+        self._data: dict[str, StateEntry] = {}
         self._sorted_keys: list[str] = []
 
     def __len__(self) -> int:
@@ -59,16 +77,28 @@ class WorldState:
         entry = self._data.get(key)
         return entry[1] if entry is not None else None
 
+    def apply_batch(self, batch: typing.Iterable[CommittedWrite]) -> int:
+        """Apply committed writes in order, storing each entry as given.
+
+        Returns the number of deletes among them.
+        """
+        data = self._data
+        sorted_keys = self._sorted_keys
+        deletes = 0
+        for key, entry, is_delete, _tx_id in batch:
+            if is_delete:
+                deletes += 1
+                if data.pop(key, None) is not None:
+                    del sorted_keys[bisect.bisect_left(sorted_keys, key)]
+            else:
+                if key not in data:
+                    bisect.insort(sorted_keys, key)
+                data[key] = entry
+        return deletes
+
     def apply_write(self, write: KVWrite, version: Version) -> None:
         """Apply one committed write at ``version``."""
-        if write.is_delete:
-            if self._data.pop(write.key, None) is not None:
-                index = bisect.bisect_left(self._sorted_keys, write.key)
-                del self._sorted_keys[index]
-        else:
-            if write.key not in self._data:
-                bisect.insort(self._sorted_keys, write.key)
-            self._data[write.key] = (write.value, version)
+        self.apply_batch((committed_write(write, version),))
 
     def apply_writes(self, writes: typing.Iterable[KVWrite],
                      version: Version) -> None:
@@ -93,7 +123,7 @@ class WorldState:
         """All keys currently present, sorted."""
         return list(self._sorted_keys)
 
-    def items(self) -> list[tuple[str, tuple[bytes, Version]]]:
+    def items(self) -> list[tuple[str, StateEntry]]:
         """All ``(key, (value, version))`` entries in key order, as stored
         (used by snapshots)."""
         return [(key, self._data[key]) for key in self._sorted_keys]

@@ -53,7 +53,8 @@ def check_mvcc(ledger: Ledger, block: Block,
         final_flags.append(verdict)
         seen_tx_ids.add(envelope.tx_id)
         if verdict is ValidationCode.VALID:
-            updated_in_block.update(envelope.rwset.write_keys)
+            for write in envelope.rwset.writes:
+                updated_in_block.add(write.key)
     return final_flags
 
 
@@ -244,6 +245,9 @@ class BlockValidator:
                             * len(block.transactions))
                     final_flags = check_mvcc(self.ledger, block, vscc_flags)
                     read_cost += backend.drain_cost()
+                # Every peer holds this same block object: the metadata
+                # copy is for readers of the chain, and this peer commits
+                # its own final_flags below.
                 block.metadata.validation_flags = final_flags
                 # 4a. Commit: block-store append (disk).
                 with tracer.span("validate.commit", category="validate",
@@ -258,7 +262,7 @@ class BlockValidator:
             #     worker slot keeps ordering while letting bottleneck
             #     attribution separate state-DB time from VSCC time.
             yield from peer.charge_statedb(read_cost, "read")
-            self.ledger.commit_block(block)
+            self.ledger.commit_block(block, final_flags)
             yield from peer.charge_statedb(backend.drain_cost(), "commit")
             self.blocks_validated += 1
             for envelope, flag in zip(block.transactions, final_flags):
@@ -275,15 +279,22 @@ class BlockValidator:
 
     def _vscc_one(self, envelope: TransactionEnvelope,
                   flags: list[ValidationCode | None], index: int):
+        # One job per (peer, transaction), so the worker claim is written
+        # out here rather than run as an acquire() sub-generator.
         peer = self._peer
+        workers = self._workers
         with peer.tracer.span("validate.vscc", category="validate",
                               node=peer.name, tx_id=envelope.tx_id):
-            # On a monitored pool acquire() reports the measured queue wait
-            # to the tracer, which lands on this span automatically.
-            request = yield from self._workers.acquire()
+            request = workers.request()
             try:
+                # An exception at the grant yield hands back the granted
+                # slot, or cancels the queued claim.
+                yield request
+                if workers.monitor is not None:
+                    # Lands on this span as its queue wait.
+                    workers.report_wait(request)
                 cost = peer.costs.vscc_tx_cpu(len(envelope.endorsements))
                 yield from peer.cpu.use(cost)
                 flags[index] = self._vscc.validate(envelope, self.policy)
             finally:
-                self._workers.release(request)
+                workers.release(request)

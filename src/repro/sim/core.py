@@ -404,14 +404,16 @@ class Process(Event):
                 next_target = self._generator.throw(event._value)
         except StopIteration as stop:
             sim._active_process = None
+            self._value = stop.value
             if self._daemon and not self.callbacks:
                 # Nobody joined this fire-and-forget process: complete it
                 # in place instead of scheduling a no-op pop.  A later
                 # yield of the handle takes the already-processed path.
-                self._value = stop.value
                 self.callbacks = None
             else:
-                self.succeed(stop.value)
+                # Inlined self.succeed(): a generator stops only once.
+                sim._fifo.append((sim._now, sim._seq, self))
+                sim._seq += 1
             return
         except BaseException as error:
             sim._active_process = None

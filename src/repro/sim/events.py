@@ -176,43 +176,51 @@ class ConditionValue:
 
 
 class _Condition(Event):
-    """Base for composite events over a fixed list of sub-events."""
+    """Base for composite events over a fixed list of sub-events: fires
+    once ``_needed`` of them have fired, or fails with the first failure."""
 
-    __slots__ = ("_events", "_fired")
+    __slots__ = ("_fired", "_needed")
 
     def __init__(self, sim: "Simulation", events: typing.Sequence[Event]) -> None:
         super().__init__(sim)
-        self._events = list(events)
         self._fired: list[Event] = []
-        for event in self._events:
+        self._needed = self._need(len(events))
+        for event in events:
             if event.sim is not sim:
                 raise ValueError("events belong to different simulations")
+        if not self._needed:
+            self.succeed(ConditionValue(self._fired))
+            return
         # Register on sub-events after validating all of them.  An event
         # counts as fired only once *processed* (its callbacks have run):
         # a pending Timeout already carries its value but has not fired yet.
-        for event in self._events:
-            if event.processed:
+        for event in events:
+            if event.callbacks is None:
                 self._on_sub_event(event)
             else:
                 event.callbacks.append(self._on_sub_event)
-        self._check(initial=True)
 
-    def _on_sub_event(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defused = True
-            self.fail(event.value)
-            return
-        self._fired.append(event)
-        self._check(initial=False)
-
-    def _check(self, initial: bool) -> None:
+    @staticmethod
+    def _need(count: int) -> int:
         raise NotImplementedError
 
-    def _finish(self) -> None:
-        if not self.triggered:
-            self.succeed(ConditionValue(list(self._fired)))
+    def _on_sub_event(self, event: Event) -> None:
+        # One call per sub-event of every fan-in (each VSCC job of a
+        # block), so the trigger and push are written out inline.
+        if self._value is not _PENDING:
+            return
+        if not event._ok:
+            event.defused = True
+            self.fail(event._value)
+            return
+        fired = self._fired
+        fired.append(event)
+        if len(fired) == self._needed:
+            # Nothing appends to ``fired`` once the condition has a value.
+            self._value = ConditionValue(fired)
+            sim = self.sim
+            sim._fifo.append((sim._now, sim._seq, self))
+            sim._seq += 1
 
 
 class AnyOf(_Condition):
@@ -224,9 +232,9 @@ class AnyOf(_Condition):
 
     __slots__ = ()
 
-    def _check(self, initial: bool) -> None:
-        if self._fired or not self._events:
-            self._finish()
+    @staticmethod
+    def _need(count: int) -> int:
+        return min(count, 1)
 
 
 class AllOf(_Condition):
@@ -234,6 +242,6 @@ class AllOf(_Condition):
 
     __slots__ = ()
 
-    def _check(self, initial: bool) -> None:
-        if len(self._fired) == len(self._events):
-            self._finish()
+    @staticmethod
+    def _need(count: int) -> int:
+        return count

@@ -97,7 +97,7 @@ class Resource:
                 self.monitor.on_grant(0.0)
                 self.monitor.on_state(len(users), len(self._queue))
         else:
-            request.queued_at = self.sim.now
+            request.queued_at = self.sim._now
             self._queue.append(request)
             if self.monitor is not None:
                 self.monitor.on_state(len(users), len(self._queue))
@@ -110,7 +110,8 @@ class Resource:
             if (self.monitor is not None
                     and request.granted_at is not None):
                 self.monitor.on_release(self.sim.now - request.granted_at)
-            self._grant_next()
+            if self._queue:
+                self._grant_next()
         else:
             # Cancelling a queued request is legal (e.g. on timeout races).
             try:
@@ -157,8 +158,13 @@ class Resource:
             finally:
                 self.release(request)
             return
-        request = yield from self.acquire()
+        # Contended: acquire() written out inline, one generator frame
+        # fewer on every queued claim.
+        request = self.request()
         try:
+            yield request
+            if self.monitor is not None:
+                self.report_wait(request)
             yield Timeout(self.sim, duration)
         finally:
             self.release(request)
@@ -180,12 +186,20 @@ class Resource:
             # request — so the pool's capacity cannot leak away.
             self.release(request)
             raise
-        monitor = self.monitor
-        if monitor is not None:
-            wait = (self.sim.now - request.queued_at
-                    if request.queued_at is not None else 0.0)
-            monitor.note_wait(wait)
+        if self.monitor is not None:
+            self.report_wait(request)
         return request
+
+    def report_wait(self, request: Request) -> None:
+        """Report a just-granted request's queue wait to the monitor.
+
+        The monitor's tracer attaches it to the innermost open span of the
+        active process, the waiter.  Callers test ``monitor`` first, which
+        keeps the call off unmonitored runs.
+        """
+        queued_at = request.queued_at
+        self.monitor.note_wait(self.sim.now - queued_at
+                               if queued_at is not None else 0.0)
 
     def _grant_next(self) -> None:
         if self._queue and len(self._users) < self.capacity:

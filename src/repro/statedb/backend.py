@@ -31,7 +31,7 @@ import dataclasses
 import typing
 
 from repro.common.types import KVWrite, Version
-from repro.ledger.statedb import VersionedValue, WorldState
+from repro.ledger.statedb import CommittedWrite, VersionedValue, WorldState
 from repro.runtime.costs import CostModel
 from repro.statedb import snapshot as snapshot_mod
 from repro.statedb.cache import ReadCache
@@ -185,34 +185,30 @@ class StateBackend:
     # Write path (commit)
     # ------------------------------------------------------------------
 
-    def commit_batch(
-            self, batch: typing.Sequence[tuple[KVWrite, Version]]) -> None:
-        """Apply one block's committed writes as a single backend batch."""
-        self.stats.commit_batches += 1
+    def commit_batch(self, batch: typing.Sequence[CommittedWrite]) -> None:
+        """Apply one block's committed writes as a single backend batch.
+
+        The store keeps each write's ``(value, version)`` entry as given,
+        so peers committing the same plan share the entries.
+        """
+        stats = self.stats
+        cache = self.cache
+        stats.commit_batches += 1
         if batch:
-            unknown = 0
-            seen: set[str] = set()
-            for write, _ in batch:
-                if write.key in seen:
-                    continue
-                seen.add(write.key)
-                if (write.key not in self._prefetched
-                        and (self.cache is None
-                             or write.key not in self.cache)):
-                    unknown += 1
-            self._pending_cost += self._commit_cost(len(batch), unknown)
+            unknown = {write[0] for write in batch}.difference(
+                self._prefetched)
+            if cache is not None:
+                unknown = {key for key in unknown if key not in cache}
+            self._pending_cost += self._commit_cost(len(batch), len(unknown))
             if self.bulk:
-                self.stats.bulk_write_batches += 1
-        for write, version in batch:
-            self._store.apply_write(write, version)
-            if write.is_delete:
-                self.stats.deletes += 1
-                new_entry: VersionedValue | None = None
-            else:
-                self.stats.writes += 1
-                new_entry = VersionedValue(write.value, version)
-            if self.cache is not None:
-                self.cache.update_if_present(write.key, new_entry)
+                stats.bulk_write_batches += 1
+        deletes = self._store.apply_batch(batch)
+        stats.deletes += deletes
+        stats.writes += len(batch) - deletes
+        if cache is not None:
+            for key, entry, is_delete, _tx_id in batch:
+                cache.update_if_present(
+                    key, None if is_delete else VersionedValue(*entry))
         # The validated block is committed; its prefetched read set is spent.
         self._prefetched.clear()
 
@@ -257,8 +253,7 @@ class StateBackend:
         self._pending_cost += (snap.manifest.byte_size
                                * self.costs.snapshot_io_per_byte)
 
-    def replay_writes(self, writes: typing.Sequence[tuple[KVWrite, Version]],
-                      ) -> None:
+    def replay_writes(self, writes: typing.Sequence[CommittedWrite]) -> None:
         """Re-apply one block's writes during catch-up (charged as commit)."""
         self.stats.replayed_blocks += 1
         self.commit_batch(writes)

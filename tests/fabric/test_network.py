@@ -8,6 +8,7 @@ from repro.common.config import (
     TopologyConfig,
     WorkloadConfig,
 )
+from repro.common.types import KVWrite
 from repro.fabric.network import FabricNetwork
 
 
@@ -46,6 +47,19 @@ def test_all_peers_reach_same_height_and_state():
         for key in sorted(peer.ledger.state.keys()))
         for peer in network.peers}
     assert len(states) == 1
+
+
+def test_ledger_check_names_the_peer_whose_state_diverged():
+    network = build(rate=20, duration=4)
+    network.run_workload()
+    network.assert_ledgers_consistent()
+    channel = network.channel_names[0]
+    planted = network.peers[2]
+    planted.ledger_for(channel).state.apply_write(
+        KVWrite("planted", b"x"), version=(1, 0))
+    with pytest.raises(AssertionError,
+                       match=f"state of {planted.name} on {channel} "):
+        network.assert_ledgers_consistent()
 
 
 def test_committing_only_peers_commit_but_do_not_endorse():

@@ -116,11 +116,8 @@ def test_ledger_records_stay_out_of_the_cyclic_collector():
     assert len(state) == 5
     for entry in state.values():
         assert not gc.is_tracked(entry)
-    nodes = []
-    for node in ledger.history._history.values():
-        while node is not None:
-            nodes.append(node)
-            node = node[-1]
+    nodes = [write for _number, writes in ledger.history._blocks
+             for write in writes]
     assert len(nodes) == 8
     for node in nodes:
         assert not gc.is_tracked(node)
@@ -130,3 +127,34 @@ def test_ledger_records_stay_out_of_the_cyclic_collector():
             assert not gc.is_tracked(entry)
     assert [entry.tx_id for entry in ledger.history.for_key("hot")] == [
         "hot0", "hot1", "hot2", "hot3"]
+
+
+def test_ledgers_committing_one_block_with_equal_flags_share_entries():
+    # Every peer commits the same Block object; peers whose flags agree
+    # reuse one commit plan, so they store the very same state entries.
+    ledgers = [Ledger("ch") for _ in range(4)]
+    txs = [make_tx("t1", "a", b"1"), make_tx("t2", "b", b"2")]
+    block = make_block(ledgers[0], txs, [])
+    valid = [ValidationCode.VALID] * 2
+    ledgers[0].commit_block(block, valid)
+    ledgers[1].commit_block(block, list(valid))
+    stores = [ledger.state._store._data for ledger in ledgers]
+    assert stores[0]["a"] is stores[1]["a"]
+    assert stores[0]["b"] is stores[1]["b"]
+    # Different flags: its own entries, and only its own valid writes.
+    ledgers[2].commit_block(
+        block, [ValidationCode.VALID, ValidationCode.MVCC_READ_CONFLICT])
+    assert stores[2]["a"] == stores[0]["a"]
+    assert stores[2]["a"] is not stores[0]["a"]
+    assert "b" not in stores[2]
+    assert (ledgers[2].valid_tx_count, ledgers[2].invalid_tx_count) == (1, 1)
+    assert [entry.tx_id for entry in ledgers[2].history.for_key("b")] == []
+    # The others are untouched, and equal flags still commit both writes.
+    ledgers[3].commit_block(block, valid)
+    for ledger in (ledgers[0], ledgers[1], ledgers[3]):
+        assert (ledger.valid_tx_count, ledger.invalid_tx_count) == (2, 0)
+        assert ledger.state.get("b").value == b"2"
+        assert ledger.state.get_version("b") == (1, 1)
+        assert [entry.tx_id for entry in ledger.history.for_key("b")] == [
+            "t2"]
+    assert block.metadata.validation_flags == []

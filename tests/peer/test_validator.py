@@ -311,3 +311,27 @@ def test_check_mvcc_invalid_tx_does_not_poison_block_writes():
                        [ValidationCode.VALID, ValidationCode.VALID])
     assert flags == [ValidationCode.MVCC_READ_CONFLICT,
                      ValidationCode.VALID]
+
+
+def test_each_peer_commits_its_own_verdicts_for_a_shared_block():
+    # Every peer receives the same Block object, and the validator copies
+    # its verdicts into the block's metadata before it commits.  Peer 1
+    # already holds "k", so the transaction's read of an absent "k" is
+    # stale there and fresh on peer 0: each ledger must apply its own
+    # verdict, not whichever peer wrote the metadata last.
+    rig = PeerRig(num_peers=2)
+    peer0, peer1 = rig.peers
+    peer1.ledger.state.apply_write(KVWrite("k", b"old"), version=(0, 0))
+    envelope = rig.make_envelope("t1", write_rwset("k", b"new"), [peer0])
+    block = make_signed_block(rig, peer0, [envelope])
+    peer0.validator.submit_block(block)
+    peer1.validator.submit_block(block)
+    rig.sim.run()
+    assert peer0.validator.txs_valid == 1
+    assert peer1.validator.txs_invalid == 1
+    assert (peer0.ledger.valid_tx_count, peer0.ledger.invalid_tx_count) == (
+        1, 0)
+    assert (peer1.ledger.valid_tx_count, peer1.ledger.invalid_tx_count) == (
+        0, 1)
+    assert peer0.ledger.state.get("k").value == b"new"
+    assert peer1.ledger.state.get("k").value == b"old"

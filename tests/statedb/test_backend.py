@@ -5,6 +5,7 @@ import pytest
 from repro.common.config import StateDBConfig
 from repro.common.errors import ConfigurationError
 from repro.common.types import KVWrite
+from repro.ledger.statedb import committed_write
 from repro.runtime.costs import CostModel
 from repro.statedb import (
     CouchDBBackend,
@@ -22,6 +23,11 @@ def leveldb(**kwargs) -> LevelDBBackend:
 
 def couchdb(**kwargs) -> CouchDBBackend:
     return CouchDBBackend(COSTS, **kwargs)
+
+
+def committed(pairs):
+    """A commit batch of ``(write, version)`` pairs."""
+    return [committed_write(write, version) for write, version in pairs]
 
 
 def seed(backend, *keys: str) -> None:
@@ -91,7 +97,7 @@ def test_data_semantics_identical_across_backends():
     backends = [leveldb(), couchdb(),
                 couchdb(cache=ReadCache(8), bulk=True)]
     for backend in backends:
-        backend.commit_batch(batch)
+        backend.commit_batch(committed(batch))
         backend.drain_cost()
     hashes = {backend.state_hash() for backend in backends}
     assert len(hashes) == 1
@@ -126,7 +132,7 @@ def test_commit_updates_cached_entries_write_through():
     seed(backend, "k")
     backend.get("k")
     backend.drain_cost()
-    backend.commit_batch([(KVWrite("k", b"new"), (5, 0))])
+    backend.commit_batch(committed([(KVWrite("k", b"new"), (5, 0))]))
     backend.drain_cost()
     # The cached entry was refreshed in place: the next read is a hit AND
     # observes the committed version (MVCC would catch staleness here).
@@ -141,7 +147,8 @@ def test_commit_of_delete_leaves_negative_cache_entry():
     seed(backend, "k")
     backend.get("k")
     backend.drain_cost()
-    backend.commit_batch([(KVWrite("k", b"", is_delete=True), (5, 0))])
+    backend.commit_batch(committed(
+        [(KVWrite("k", b"", is_delete=True), (5, 0))]))
     backend.drain_cost()
     assert backend.get("k") is None
     assert backend.pending_cost == 0.0      # served by the negative entry
@@ -194,7 +201,7 @@ def test_bulk_get_of_fully_known_set_is_free():
 def test_leveldb_commit_cost_is_per_key():
     backend = leveldb()
     batch = [(KVWrite(f"k{i}", b"v"), (1, i)) for i in range(5)]
-    backend.commit_batch(batch)
+    backend.commit_batch(committed(batch))
     assert backend.pending_cost == pytest.approx(
         COSTS.leveldb_write_batch_base_io
         + 5 * COSTS.leveldb_write_per_key_io)
@@ -205,7 +212,7 @@ def test_leveldb_commit_cost_is_per_key():
 def test_couchdb_commit_pays_revision_lookups_for_unknown_keys():
     backend = couchdb()
     batch = [(KVWrite("a", b"1"), (1, 0)), (KVWrite("b", b"2"), (1, 1))]
-    backend.commit_batch(batch)
+    backend.commit_batch(committed(batch))
     # Neither revision was locally known: 2 GETs + 2 PUTs.
     assert backend.stats.revision_lookups == 2
     assert backend.pending_cost == pytest.approx(
@@ -218,8 +225,8 @@ def test_couchdb_prefetched_revisions_skip_the_lookup():
     seed(backend, "a", "b")
     backend.bulk_get(["a", "b"])
     backend.drain_cost()
-    backend.commit_batch([(KVWrite("a", b"1"), (2, 0)),
-                          (KVWrite("b", b"2"), (2, 1))])
+    backend.commit_batch(committed([(KVWrite("a", b"1"), (2, 0)),
+                                    (KVWrite("b", b"2"), (2, 1))]))
     assert backend.stats.revision_lookups == 0
     # One _bulk_docs request, no revision fetch.
     assert backend.pending_cost == pytest.approx(
@@ -230,8 +237,8 @@ def test_couchdb_prefetched_revisions_skip_the_lookup():
 def test_bulk_commit_amortizes_request_overhead():
     batch = [(KVWrite(f"k{i}", b"v"), (1, i)) for i in range(10)]
     plain, bulk = couchdb(), couchdb(bulk=True)
-    plain.commit_batch(list(batch))
-    bulk.commit_batch(list(batch))
+    plain.commit_batch(committed(batch))
+    bulk.commit_batch(committed(batch))
     assert bulk.pending_cost < plain.pending_cost
 
 
@@ -240,7 +247,7 @@ def test_commit_clears_the_prefetch_buffer():
     seed(backend, "a")
     backend.bulk_get(["a"])
     backend.drain_cost()
-    backend.commit_batch([(KVWrite("a", b"1"), (2, 0))])
+    backend.commit_batch(committed([(KVWrite("a", b"1"), (2, 0))]))
     backend.drain_cost()
     backend.get("a")
     assert backend.pending_cost > 0     # prefetch no longer serves it
