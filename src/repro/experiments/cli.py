@@ -38,6 +38,7 @@ from repro.experiments.figures import (
     run_fig6_fig7,
     run_fig8,
 )
+from repro.experiments.runner import TRACE_SAMPLE_INTERVAL
 from repro.experiments.tables import run_table1, run_table2_table3
 
 EXPERIMENT_IDS = ["tab1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
@@ -519,8 +520,9 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
                                   "the AND5 validate capacity)")
     trace_group.add_argument("--duration", type=float, default=15.0,
                              help="workload duration in simulated seconds")
-    trace_group.add_argument("--sample-interval", type=float, default=0.05,
-                             help="utilization sampling period (seconds)")
+    trace_group.add_argument("--sample-interval", type=float,
+                             default=TRACE_SAMPLE_INTERVAL,
+                             help="monitor checkpoint interval (seconds)")
     trace_group.add_argument("--top", type=int, default=12,
                              help="resources to list in the report")
     trace_group.add_argument("--trace-out", default=None, metavar="PATH",

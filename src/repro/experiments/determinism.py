@@ -91,9 +91,8 @@ def run_digested_point(orderer_kind: str, policy: str = "AND2",
                        ) -> tuple[TraceDigest, dict[str, float], str]:
     """Run one network point with the trace digest attached.
 
-    The run executes with tracing enabled (but without the sampler, which
-    would add its own timeout events), so the schedule digest doubles as
-    proof that the telemetry layer is schedule-neutral — it must match
+    The run executes with tracing enabled, so the schedule digest doubles
+    as proof that the telemetry layer is schedule-neutral — it must match
     the digests of untraced runs.  Returns the digest, the run's windowed
     metrics as a dict, and the critical-path summary hash, so double-run
     checks compare telemetry as well as schedules and metrics.
@@ -102,7 +101,7 @@ def run_digested_point(orderer_kind: str, policy: str = "AND2",
     workload = make_workload(rate, duration)
     network = FabricNetwork(topology, workload, seed=seed,
                             workload_kind=workload_kind,
-                            observe=True, observe_sampler=False)
+                            observe=True)
     metrics: list[dict[str, float]] = []
 
     def drive() -> None:

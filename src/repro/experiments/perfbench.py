@@ -47,7 +47,11 @@ import typing
 
 from repro.common.config import StateDBConfig
 from repro.experiments.farm import run_farm
-from repro.experiments.runner import make_topology, make_workload
+from repro.experiments.runner import (
+    TRACE_SAMPLE_INTERVAL,
+    make_topology,
+    make_workload,
+)
 from repro.fabric.network import FabricNetwork
 from repro.sim.sanitizer import TraceDigest
 
@@ -187,10 +191,10 @@ def _build_network(scenario: PerfScenario, seed: int,
                                  scenario.peers,
                                  statedb=scenario.statedb_config())
         workload = make_workload(scenario.rate, scenario.duration)
-    # Observed builds disable the sampler: the tracer and monitors are
-    # schedule-neutral, the sampler's periodic timeouts are not.
+    # Observed builds slice the run as ``repro trace`` does, so the golden
+    # check of an observed digest covers the periodic checkpoints too.
     return FabricNetwork(topology, workload, seed=seed, observe=observe,
-                         observe_sampler=False)
+                         sample_interval=TRACE_SAMPLE_INTERVAL)
 
 
 def run_scenario(name: str, seed: int = GOLDEN_SEED,
@@ -244,8 +248,9 @@ def digest_scenario(name: str, seed: int = GOLDEN_SEED,
     This is the digest-only half of :func:`run_scenario`, exposed so the
     golden-digest tests can check schedules without paying for a second,
     timed run.  ``observe=True`` runs with span tracing and resource
-    monitors attached (sampler off): the digest must not change, which is
-    the standing proof that observability is schedule-neutral.
+    monitors attached, checkpointed every ``repro trace`` slice interval:
+    the digest must not change, which is the standing proof that
+    observability is schedule-neutral.
     """
     scenario = SCENARIOS[name].at_scale(scale)
     network = _build_network(scenario, seed, observe=observe)

@@ -27,6 +27,10 @@ AND_POLICY = "AND5"
 #: the load generators themselves.
 TRACE_RATE = 250.0
 
+#: Slice interval of traced runs (simulated seconds): every monitor is
+#: checkpointed this often, the resolution of the Chrome counter tracks.
+TRACE_SAMPLE_INTERVAL = 0.05
+
 
 @dataclasses.dataclass
 class SweepPoint:
@@ -112,10 +116,10 @@ def run_traced_point(orderer_kind: str = "solo",
                      rate: float = TRACE_RATE,
                      peers: int = DEFAULT_PEERS,
                      duration: float = 15.0, seed: int = 1,
-                     sample_interval: float = 0.05,
+                     sample_interval: float = TRACE_SAMPLE_INTERVAL,
                      workload_kind: str = "unique",
                      **topology_kwargs) -> TracedPoint:
-    """Run one measurement point with span tracing and sampling enabled.
+    """Run one measurement point with span tracing and monitors enabled.
 
     The defaults reproduce the paper's Fig. 5 bottleneck: a Solo network
     under the AND5 policy driven past the validate phase's capacity, where

@@ -139,18 +139,12 @@ def run_scale_point(peers: int = 100, channels: int = 4,
                     duration: float = 8.0, cohorts_per_channel: int = 2,
                     seed: int = 1, orderer_kind: str = "raft",
                     observe: bool = True) -> ScalePoint:
-    """Run one scale point and collect its per-cohort accounting.
-
-    Observability runs tracer + monitors without the sampler, so the
-    bottleneck attribution comes from exact lifetime integrals and the
-    event schedule stays identical to an unobserved run.
-    """
+    """Run one scale point and collect its per-cohort accounting."""
     topology = make_scale_topology(peers, channels,
                                    orderer_kind=orderer_kind)
     workload = make_scale_workload(users, rate, duration,
                                    cohorts_per_channel=cohorts_per_channel)
-    network = FabricNetwork(topology, workload, seed=seed, observe=observe,
-                            observe_sampler=False)
+    network = FabricNetwork(topology, workload, seed=seed, observe=observe)
     # Wall-clock reads never feed back into the simulation; they are the
     # quantity this harness reports.
     started = time.perf_counter()  # simlint: disable=SL002

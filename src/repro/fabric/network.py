@@ -44,8 +44,7 @@ class FabricNetwork:
                  seed: int = 0, costs: CostModel | None = None,
                  workload_kind: str = "unique",
                  observe: bool = False,
-                 observe_sampler: bool = True,
-                 sample_interval: float = 0.05,
+                 sample_interval: float | None = None,
                  faults: FaultSchedule | None = None) -> None:
         self.topology = topology
         self.workload_config = workload or WorkloadConfig()
@@ -63,12 +62,6 @@ class FabricNetwork:
         #: Observability layer (tracer + monitors); opt-in and off by
         #: default so unobserved runs carry zero instrumentation cost.
         self.obs: Observability | None = None
-        #: Whether :meth:`run_workload` starts the periodic sampler.  The
-        #: tracer and monitors are pure observers (zero schedule impact),
-        #: but the sampler is a process whose timeouts ARE kernel events —
-        #: schedule-neutral runs (determinism checks, golden digests)
-        #: disable it and still get tracing + exact lifetime integrals.
-        self._observe_sampler = observe_sampler
         if observe:
             self.obs = Observability(self.context.sim,
                                      sample_interval=sample_interval)
@@ -300,14 +293,13 @@ class FabricNetwork:
         start_at = self.STABILIZATION
         self.workload.start(at=start_at)
         horizon = start_at + self.workload_config.duration + drain
-        if self.obs is not None and self._observe_sampler:
-            self.obs.start_sampler(until=horizon)
-        self.context.sim.run(until=horizon)
-        if self.obs is not None:
-            self.obs.finish()
         window_start = start_at + self.workload_config.warmup
         window_end = (start_at + self.workload_config.duration
                       - self.workload_config.cooldown)
+        if self.obs is None:
+            self.context.sim.run(until=horizon)
+        else:
+            self.obs.run(horizon, edges=(window_start, window_end))
         #: The measurement window, kept for windowed bottleneck reports.
         self.last_window = (window_start, window_end)
         self._export_statedb_counters()
@@ -363,9 +355,11 @@ class FabricNetwork:
         Utilization, queue depth, and span statistics default to the
         measurement window of the last :meth:`run_workload` call (or the
         whole run if none completed); the Little's-law check always reads
-        lifetime totals.  Raises
-        :class:`~repro.common.errors.ConfigurationError` when the network
-        was built without ``observe=True``.
+        lifetime totals.  A custom edge must be a slice boundary of the
+        run: a window edge, the horizon, or a multiple of
+        ``sample_interval``.  Raises
+        :class:`~repro.common.errors.ConfigurationError` for any other
+        edge, and when the network was built without ``observe=True``.
         """
         if self.obs is None:
             raise ConfigurationError(

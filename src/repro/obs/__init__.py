@@ -1,4 +1,4 @@
-"""Simulation-wide observability: span tracing, resource sampling,
+"""Simulation-wide observability: span tracing, resource monitors,
 and automated bottleneck attribution.
 
 The subsystem's cooperating parts:
@@ -7,7 +7,8 @@ The subsystem's cooperating parts:
   clock, exportable as Chrome/Perfetto ``trace_event`` JSON;
 - :mod:`repro.obs.sampler` — named resource monitors recording
   time-weighted utilization, queue depth, and wait-time distributions,
-  checkpointed by a sampler process;
+  checkpointed at every slice boundary of
+  :meth:`Observability.run <repro.obs.observe.Observability.run>`;
 - :mod:`repro.obs.report` — :func:`bottleneck_report`, one record per
   monitored resource (utilization, queue depth, wait/service
   distributions, a Little's-law consistency check), ranked by
@@ -20,7 +21,9 @@ The subsystem's cooperating parts:
 
 Tracing is opt-in and default-off: ``NetworkContext.tracer`` is the no-op
 :data:`NULL_TRACER` unless an :class:`Observability` bundle installs a
-real one, so unobserved benchmark runs behave identically.
+real one, so unobserved benchmark runs behave identically.  Observed runs
+pop the same events too: their checkpoints are taken between bounded
+``Simulation.run`` slices, not by a process on the schedule.
 """
 
 from repro.obs.critical_path import (
@@ -50,7 +53,6 @@ from repro.obs.report import (
 from repro.obs.sampler import (
     Checkpoint,
     ResourceMonitor,
-    UtilizationSampler,
     watch_resource,
     watch_store,
 )
@@ -73,7 +75,6 @@ __all__ = [
     "SpanStats",
     "Tracer",
     "TxCriticalPath",
-    "UtilizationSampler",
     "bottleneck_report",
     "compare_measurements",
     "diff_files",

@@ -1,16 +1,14 @@
-"""The observability bundle: one tracer + monitors + sampler per run."""
+"""The observability bundle: one tracer + monitors per run, and the
+sliced run loop that checkpoints them."""
 
 from __future__ import annotations
 
+import math
 import typing
 
+from repro.common.errors import ConfigurationError
 from repro.obs.report import BottleneckReport, bottleneck_report
-from repro.obs.sampler import (
-    ResourceMonitor,
-    UtilizationSampler,
-    watch_resource,
-    watch_store,
-)
+from repro.obs.sampler import ResourceMonitor, watch_resource, watch_store
 from repro.obs.tracer import Tracer
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -26,19 +24,26 @@ class Observability:
     Create one, install ``obs.tracer`` as the context's tracer *before*
     driving load, register the resources to watch, then::
 
-        obs.start_sampler(until=horizon)
-        sim.run(until=horizon)
+        obs.run(horizon, edges=(window_start, window_end))
         report = obs.report(window_start, window_end)
         obs.write_chrome_trace("trace.json")
+
+    ``sample_interval`` (seconds) adds a slice boundary at every multiple
+    of it, which gives the Chrome counter tracks their resolution; with
+    ``None`` the only boundaries are the edges and the horizon.
     """
 
     def __init__(self, sim: "Simulation",
-                 sample_interval: float = 0.05) -> None:
+                 sample_interval: float | None = None) -> None:
+        if (sample_interval is not None
+                and not 0 < sample_interval < math.inf):
+            raise ConfigurationError(
+                f"sample_interval must be finite and positive, got "
+                f"{sample_interval}")
         self.sim = sim
+        self.sample_interval = sample_interval
         self.tracer = Tracer(sim)
         self.monitors: dict[str, ResourceMonitor] = {}
-        self.sampler = UtilizationSampler(sim, self.monitors,
-                                          interval=sample_interval)
 
     # ------------------------------------------------------------------
     # Registration
@@ -65,16 +70,38 @@ class Observability:
         return self.monitors[name]
 
     # ------------------------------------------------------------------
-    # Sampling lifecycle
+    # The sliced run
     # ------------------------------------------------------------------
 
-    def start_sampler(self, until: float | None = None) -> None:
-        """Start periodic checkpointing (bounded by ``until`` if given)."""
-        self.sampler.start(until)
+    def run(self, until: float,
+            edges: typing.Iterable[float] = ()) -> None:
+        """Run the simulation to ``until`` in bounded slices.
 
-    def finish(self) -> None:
-        """Take one final checkpoint so integrals cover the full run."""
-        self.sampler.sample()
+        Every monitor is checkpointed at each slice boundary: each of
+        ``edges`` inside ``[now, until]``, ``until`` itself and, with a
+        ``sample_interval``, every multiple of it in between.  A bounded
+        :meth:`~repro.sim.core.Simulation.run` resumes exactly where the
+        last one stopped, so the slices pop the events one unbounded run
+        would and observation adds none.  A multiple within float
+        rounding of an edge is left out: the edge stands for it, and no
+        sliver-thin interval reaches the counter tracks.
+        """
+        sim = self.sim
+        now = sim.now
+        anchors = {edge for edge in edges if now <= edge <= until} | {until}
+        bounds = set(anchors)
+        interval = self.sample_interval
+        if interval is not None:
+            step = math.floor(now / interval) + 1
+            while (tick := step * interval) < until:
+                if not any(math.isclose(tick, anchor) for anchor in anchors):
+                    bounds.add(tick)
+                step += 1
+        monitors = self.monitors.values()
+        for bound in sorted(bounds):
+            sim.run(until=bound)
+            for monitor in monitors:
+                monitor.checkpoint()
 
     # ------------------------------------------------------------------
     # Outputs

@@ -325,8 +325,10 @@ def bottleneck_report(tracer: Tracer,
                  for monitor in monitors.values()]
     # Server pools rank by utilization; pure queues sort below them by
     # mean depth (they cannot saturate, only reflect upstream pressure).
-    resources.sort(key=lambda s: (s.utilization, s.mean_queue, s.name),
-                   reverse=True)
+    # Both are rounded to 1e-9 so that equal loads summed in a different
+    # order tie, and ties go to the first name.
+    resources.sort(key=lambda s: (-round(s.utilization, 9),
+                                  -round(s.mean_queue, 9), s.name))
     pools = [stats for stats in resources if stats.capacity > 0]
     bottleneck = pools[0] if pools else (resources[0] if resources else None)
     saturated_phase = ""

@@ -1,4 +1,4 @@
-"""Resource-utilization instrumentation: monitors and the sampler process.
+"""Resource-utilization instrumentation: per-resource monitors.
 
 A :class:`ResourceMonitor` attaches to one named kernel primitive (a
 :class:`~repro.sim.resources.Resource` pool or a
@@ -8,46 +8,35 @@ histogram of per-request queue-wait times.  The kernel calls back into the
 monitor on every state change; when no monitor is attached the cost is a
 single ``is None`` test, so unobserved runs are unchanged.
 
-A :class:`UtilizationSampler` is a simulation process that periodically
-checkpoints every monitor.  Checkpoints carry the running integrals, so
-utilization and mean queue depth over any ``[start, end)`` window can be
-recovered exactly at the enclosing checkpoints (and linearly interpolated
-between them) — the basis of windowed bottleneck attribution.
+Checkpoints carry the running integrals.  The observability bundle takes
+one at every boundary of a sliced run (see
+:meth:`~repro.obs.observe.Observability.run`), so utilization and mean
+queue depth over a ``[start, end)`` window whose edges are slice
+boundaries are exact — the basis of windowed bottleneck attribution.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import typing
-from math import inf
 
 from repro.common.errors import ConfigurationError
 from repro.metrics.stats import StreamingHistogram
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.core import ProcessGenerator, Simulation
+    from repro.sim.core import Simulation
     from repro.sim.resources import Resource, Store
 
 
 @dataclasses.dataclass
 class Checkpoint:
-    """One sampler snapshot of a monitor's running integrals.
-
-    The count/total fields (grants, completions, wait and service sums)
-    were appended for the queueing observatory; they default to zero so
-    hand-built checkpoints in older tests keep constructing.
-    """
+    """One snapshot of a monitor's running integrals."""
 
     time: float
     busy_integral: float
     queue_integral: float
     busy: int
     queue: int
-    grants: int = 0
-    completions: int = 0
-    wait_total: float = 0.0
-    service_total: float = 0.0
 
 
 class ResourceMonitor:
@@ -84,7 +73,7 @@ class ResourceMonitor:
         self._last_time = sim.now
         self._attached_at = sim.now
         self.checkpoints: list[Checkpoint] = []
-        self._checkpoint_times: list[float] = []
+        self._checkpoint_at: dict[float, Checkpoint] = {}
 
     # ------------------------------------------------------------------
     # Kernel callbacks
@@ -131,7 +120,7 @@ class ResourceMonitor:
             tracer.attach_wait(wait)
 
     # ------------------------------------------------------------------
-    # Sampling and windowed statistics
+    # Checkpoints and windowed statistics
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> Checkpoint:
@@ -140,60 +129,33 @@ class ResourceMonitor:
         point = Checkpoint(time=self.sim.now,
                            busy_integral=self._busy_integral,
                            queue_integral=self._queue_integral,
-                           busy=self._busy, queue=self._queue,
-                           grants=self.grants,
-                           completions=self.services.count,
-                           wait_total=self.waits.total,
-                           service_total=self.services.total)
+                           busy=self._busy, queue=self._queue)
         self.checkpoints.append(point)
-        self._checkpoint_times.append(point.time)
+        self._checkpoint_at[point.time] = point
         return point
 
     def _integrals_at(self, when: float) -> tuple[float, float]:
-        """Busy/queue integrals at ``when``.
+        """Busy/queue integrals at ``when``, exactly.
 
-        Exact at every checkpoint and at the live accounting point
-        (``_last_time``, kept current by :meth:`_advance`); linearly
-        interpolated in between, extrapolated with the current state
-        beyond.
+        Known at three kinds of time: the attach time, a checkpoint, and
+        the live accounting point (``_last_time``, kept current by
+        :meth:`_advance`) or later, where the current state extends.  The
+        integrals at any other time were never recorded, so asking for
+        one raises :class:`~repro.common.errors.ConfigurationError`.
         """
-        if when <= self._attached_at:
+        if when == self._attached_at:
             return 0.0, 0.0
+        point = self._checkpoint_at.get(when)
+        if point is not None:
+            return point.busy_integral, point.queue_integral
         if when >= self._last_time:
             extra = when - self._last_time
             return (self._busy_integral + self._busy * extra,
                     self._queue_integral + self._queue * extra)
-        points = self.checkpoints
-        if not points or when <= points[0].time:
-            # Between attach and the first known point: scale linearly.
-            first_time = points[0].time if points else self._last_time
-            first_busy = (points[0].busy_integral if points
-                          else self._busy_integral)
-            first_queue = (points[0].queue_integral if points
-                           else self._queue_integral)
-            fraction = ((when - self._attached_at)
-                        / max(first_time - self._attached_at, 1e-12))
-            return first_busy * fraction, first_queue * fraction
-        if when >= points[-1].time:
-            # Between the last checkpoint and the live point.
-            last = points[-1]
-            span = max(self._last_time - last.time, 1e-12)
-            fraction = (when - last.time) / span
-            busy = (last.busy_integral
-                    + (self._busy_integral - last.busy_integral) * fraction)
-            queue = (last.queue_integral
-                     + (self._queue_integral - last.queue_integral)
-                     * fraction)
-            return busy, queue
-        index = bisect.bisect_right(self._checkpoint_times, when)
-        low, high = points[index - 1], points[index]
-        span = max(high.time - low.time, 1e-12)
-        fraction = (when - low.time) / span
-        busy = (low.busy_integral
-                + (high.busy_integral - low.busy_integral) * fraction)
-        queue = (low.queue_integral
-                 + (high.queue_integral - low.queue_integral) * fraction)
-        return busy, queue
+        raise ConfigurationError(
+            f"monitor {self.name}: no checkpoint at t={when}; a window "
+            f"edge must be the attach time ({self._attached_at}), a slice "
+            f"boundary of the run, or the live point ({self._last_time})")
 
     def _window(self, start: float | None,
                 end: float | None) -> tuple[float, float, float, float]:
@@ -241,20 +203,6 @@ class ResourceMonitor:
             previous = point
         return series
 
-    def queue_series(self) -> list[tuple[float, float]]:
-        """(time, mean queue depth) per checkpoint interval."""
-        series: list[tuple[float, float]] = []
-        previous: Checkpoint | None = None
-        for point in self.checkpoints:
-            if previous is not None:
-                elapsed = point.time - previous.time
-                if elapsed > 0:
-                    depth = ((point.queue_integral - previous.queue_integral)
-                             / elapsed)
-                    series.append((point.time, depth))
-            previous = point
-        return series
-
     def __repr__(self) -> str:
         return (f"<ResourceMonitor {self.name} kind={self.kind} "
                 f"capacity={self.capacity} util={self.utilization():.3f}>")
@@ -281,36 +229,3 @@ def watch_store(store: "Store", name: str | None = None,
     store.monitor = monitor
     monitor.on_state(store.waiting_getters, len(store))
     return monitor
-
-
-class UtilizationSampler:
-    """A simulation process checkpointing every monitor on an interval."""
-
-    def __init__(self, sim: "Simulation",
-                 monitors: typing.Mapping[str, ResourceMonitor],
-                 interval: float = 0.05) -> None:
-        if not 0 < interval < inf:
-            raise ConfigurationError(
-                f"sample_interval must be finite and positive, got "
-                f"{interval}")
-        self.sim = sim
-        self.monitors = monitors
-        self.interval = interval
-        self.samples_taken = 0
-        self._process = None
-
-    def start(self, until: float | None = None) -> None:
-        """Begin sampling; stops at simulated time ``until`` if given."""
-        if self._process is None or not self._process.is_alive:
-            self._process = self.sim.process(self._run(until))
-
-    def _run(self, until: float | None) -> "ProcessGenerator":
-        while until is None or self.sim.now < until:
-            yield self.sim.timeout(self.interval)
-            self.sample()
-
-    def sample(self) -> None:
-        """Checkpoint every monitor once at the current time."""
-        for monitor in self.monitors.values():
-            monitor.checkpoint()
-        self.samples_taken += 1

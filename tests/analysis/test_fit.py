@@ -167,8 +167,7 @@ def test_empirical_fit_from_short_observed_run():
 
     topology = make_topology("solo", "AND5", 4)
     workload = make_workload(60.0, 4.0)
-    network = FabricNetwork(topology, workload, seed=1, observe=True,
-                            observe_sampler=False)
+    network = FabricNetwork(topology, workload, seed=1, observe=True)
     metrics = network.run_workload()
     fit = EmpiricalFit.from_network(network, metrics=metrics)
     costs = network.context.costs

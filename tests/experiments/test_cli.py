@@ -44,6 +44,8 @@ def test_trace_subcommand_prints_report_and_writes_trace(tmp_path, capsys):
     assert "resource" in output
     payload = json.loads(trace_path.read_text())
     assert any(event["ph"] == "X" for event in payload["traceEvents"])
+    # The periodic slices feed the busy-server counter tracks.
+    assert any(event["ph"] == "C" for event in payload["traceEvents"])
 
 
 def test_trace_rejects_unknown_orderer():
@@ -90,6 +92,8 @@ def test_lint_write_baseline_checked_before_the_sweep(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--rate", "nan"), ("--rate", "inf"),
     ("--duration", "nan"), ("--duration", "inf"),
+    ("--sample-interval", "0"), ("--sample-interval", "nan"),
+    ("--sample-interval", "inf"),
 ])
 def test_non_finite_trace_flags_exit_2_with_one_line(flag, value):
     # A subprocess with a timeout: a value that slips through would

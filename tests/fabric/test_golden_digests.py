@@ -68,13 +68,12 @@ def test_same_seed_same_digest() -> None:
     assert first == second
 
 
-@pytest.mark.parametrize("name", [perfbench.REFERENCE_SCENARIO,
-                                  "raft-and-leveldb"])
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_tracing_enabled_digest_matches_golden(name: str) -> None:
     """Observability is schedule-neutral: tracing must not move the golden.
 
-    Runs the scenario with the tracer and resource monitors attached
-    (sampler off — its periodic timeouts are real kernel events) and
+    Runs the scenario with the tracer and resource monitors attached,
+    checkpointed between run slices at ``repro trace``'s interval, and
     demands the bit-identical committed digest.  If this fails, some
     instrumentation path scheduled an event, consumed randomness, or
     reordered the heap.

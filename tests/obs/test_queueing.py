@@ -10,7 +10,7 @@ from repro.sim import Simulation
 from repro.sim.resources import Resource, Store
 
 
-def contended_run(capacity=1, workers=3, hold=1.0):
+def contended_run(capacity=1, workers=3, hold=1.0, checkpoints=()):
     sim = Simulation()
     resource = Resource(sim, capacity=capacity, name="cpu")
     monitor = watch_resource(resource, phase="validate")
@@ -20,6 +20,9 @@ def contended_run(capacity=1, workers=3, hold=1.0):
 
     for _ in range(workers):
         sim.process(worker())
+    for when in checkpoints:
+        sim.run(until=when)
+        monitor.checkpoint()
     sim.run()
     return sim, monitor
 
@@ -108,7 +111,7 @@ def test_store_monitors_skip_the_check():
 
 
 def test_windowed_stats_keep_the_lifetime_check():
-    _sim, monitor = contended_run()
+    _sim, monitor = contended_run(checkpoints=(2.0,))
     stats = resource_stats(monitor, start=0.0, end=2.0)
     assert stats.utilization == pytest.approx(1.0)
     # Little's law compares lifetime accumulations, whatever the window.

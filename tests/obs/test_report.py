@@ -78,6 +78,30 @@ def test_queues_never_beat_pools_for_the_bottleneck():
     assert mailbox.mean_queue == pytest.approx(5.0)
 
 
+def test_equal_loads_tie_whatever_the_summation_order():
+    # Both pools are busy 0.3 s of 1 s; peer1's busy time is summed as
+    # 0.1 + 0.2 = 0.30000000000000004, which must not outrank peer0.
+    sim = Simulation()
+    tracer = Tracer(sim)
+    single = Resource(sim, capacity=1, name="peer0.validator.workers")
+    split = Resource(sim, capacity=1, name="peer1.validator.workers")
+    monitors = {monitor.name: monitor
+                for monitor in (watch_resource(single),
+                                watch_resource(split))}
+
+    def two_holds():
+        yield from split.use(0.1)
+        yield from split.use(0.2)
+
+    _busy(sim, single, 0.0, 0.3)
+    sim.process(two_holds())
+    sim.run(until=1.0)
+    assert split.monitor.utilization(0.0, 1.0) == 0.1 + 0.2 != 0.3
+    report = bottleneck_report(tracer, monitors, 0.0, 1.0)
+    assert [usage.name for usage in report.resources] == [
+        "peer0.validator.workers", "peer1.validator.workers"]
+
+
 def test_no_saturation_below_threshold():
     sim = Simulation()
     tracer = Tracer(sim)

@@ -1,9 +1,10 @@
-"""Tests for resource monitors and the utilization sampler."""
+"""Tests for resource monitors and the sliced observed run."""
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.obs.sampler import UtilizationSampler, watch_resource, watch_store
+from repro.obs.observe import Observability
+from repro.obs.sampler import watch_resource, watch_store
 from repro.sim import Simulation
 from repro.sim.resources import Resource, Store
 
@@ -45,7 +46,7 @@ def test_monitor_queue_depth_and_wait_distribution():
     assert monitor.mean_queue(0.0, 3.0) == pytest.approx(1.0)
 
 
-def test_windowed_utilization_interpolates_between_checkpoints():
+def test_windowed_utilization_is_exact_at_checkpoints():
     sim = Simulation()
     resource = Resource(sim, capacity=1, name="cpu")
     monitor = watch_resource(resource)
@@ -66,9 +67,9 @@ def test_windowed_utilization_interpolates_between_checkpoints():
     assert monitor.utilization(0.0, 12.0) == pytest.approx(4.0 / 12.0)
     # [4, 8) straddles two checkpoints: busy [4, 6) = half the window.
     assert monitor.utilization(4.0, 8.0) == pytest.approx(0.5)
-    # Checkpoint-free sub-window [0, 2) interpolates the first checkpoint.
-    assert monitor.utilization(0.0, 2.0) == pytest.approx(
-        monitor.utilization(0.0, 4.0), abs=1e-9)
+    # t=2 is no checkpoint: the integral there was never recorded.
+    with pytest.raises(ConfigurationError, match="cpu.*t=2.0"):
+        monitor.utilization(0.0, 2.0)
 
 
 def test_store_monitor_records_depth():
@@ -92,23 +93,54 @@ def test_store_monitor_records_depth():
 
 
 def test_sampler_checkpoints_all_monitors_and_stops_at_until():
+    def load(sim, resource):
+        def worker():
+            for _ in range(6):
+                yield from resource.use(0.7)
+        sim.process(worker())
+
+    bare = Simulation()
+    load(bare, Resource(bare, capacity=1))
+    bare.run(until=5.0)
+
     sim = Simulation()
+    obs = Observability(sim, sample_interval=1.0)
     resource = Resource(sim, capacity=1, name="cpu")
-    monitor = watch_resource(resource)
-    sampler = UtilizationSampler(sim, {"cpu": monitor}, interval=1.0)
-    sampler.start(until=5.0)
-    sim.run(until=100.0)
-    assert sim.now == 100.0 or sim.now >= 5.0
-    assert sampler.samples_taken == 5
-    assert len(monitor.checkpoints) == 5
-    assert monitor.checkpoints[-1].time == pytest.approx(5.0)
+    cpu = obs.watch_resource(resource)
+    mailbox = obs.watch_store(Store(sim, name="mailbox"))
+    load(sim, resource)
+    # The edge at 7.0 lies past the horizon and makes no slice.
+    obs.run(5.0, edges=(2.5, 7.0))
+    assert sim.now == 5.0
+    assert sim.events_processed == bare.events_processed
+    for monitor in (cpu, mailbox):
+        assert [point.time for point in monitor.checkpoints] == [
+            1.0, 2.0, 2.5, 3.0, 4.0, 5.0]
+    assert cpu.utilization(2.5, 5.0) == pytest.approx(1.7 / 2.5)
+
+    # Without an interval the edges and the horizon are the boundaries.
+    sim = Simulation()
+    obs = Observability(sim)
+    monitor = obs.watch_resource(Resource(sim, capacity=1, name="cpu"))
+    obs.run(4.0, edges=(1.5,))
+    assert [point.time for point in monitor.checkpoints] == [1.5, 4.0]
+
+    # A multiple within float rounding of an edge (3 * 0.1 is
+    # 0.30000000000000004) yields to the edge: no sliver-thin slice.
+    sim = Simulation()
+    obs = Observability(sim, sample_interval=0.1)
+    monitor = obs.watch_resource(Resource(sim, capacity=1, name="cpu"))
+    obs.run(0.5, edges=(0.3,))
+    assert [point.time for point in monitor.checkpoints] == [
+        0.1, 0.2, 0.3, 0.4, 0.5]
 
 
 def test_sampler_rejects_non_positive_interval():
     sim = Simulation()
-    for interval in (0.0, float("nan"), float("inf")):
+    for interval in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="sample_interval"):
-            UtilizationSampler(sim, {}, interval=interval)
+            Observability(sim, sample_interval=interval)
+    assert Observability(sim).sample_interval is None
 
 
 def test_busy_series_reports_per_interval_means():
@@ -185,50 +217,6 @@ def test_coincident_checkpoints_skip_zero_duration_intervals():
     # The doubled checkpoints contribute no intervals; the one real
     # interval averages 1 busy-second over 2 seconds.
     assert monitor.busy_series() == [(2.0, pytest.approx(0.5))]
-    assert monitor.queue_series() == [(2.0, pytest.approx(0.0))]
-
-
-def test_queue_series_reports_per_interval_mean_depth():
-    sim = Simulation()
-    resource = Resource(sim, capacity=1, name="cpu")
-    monitor = watch_resource(resource)
-
-    def worker():
-        yield from resource.use(2.0)
-
-    def checkpoints():
-        monitor.checkpoint()
-        yield sim.timeout(2.0)
-        monitor.checkpoint()
-        yield sim.timeout(2.0)
-        monitor.checkpoint()
-
-    sim.process(worker())
-    sim.process(worker())
-    sim.process(checkpoints())
-    sim.run()
-    series = monitor.queue_series()
-    # One request queued during [0, 2), none during [2, 4).
-    assert series[0] == (2.0, pytest.approx(1.0))
-    assert series[1] == (4.0, pytest.approx(0.0))
-
-
-def test_checkpoint_carries_queueing_counters():
-    sim = Simulation()
-    resource = Resource(sim, capacity=1, name="cpu")
-    monitor = watch_resource(resource)
-
-    def worker():
-        yield from resource.use(1.0)
-
-    sim.process(worker())
-    sim.process(worker())
-    sim.run()
-    point = monitor.checkpoint()
-    assert point.grants == 2
-    assert point.completions == 2
-    assert point.wait_total == pytest.approx(1.0)     # 0s + 1s queued
-    assert point.service_total == pytest.approx(2.0)  # two 1s holds
 
 
 def test_monitor_records_service_times_and_cancels():
