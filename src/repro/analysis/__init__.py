@@ -10,14 +10,13 @@ The stochastic phase model (:class:`PhaseModel`) composes the full
 execute–order–validate pipeline from two-moment queueing stations —
 per-channel latency *distributions* (p50/p95/p99), station-by-station
 utilization and capacity, the system capacity with cross-channel
-resource sharing, and the bottleneck station — calibrated either
-straight off the cost model (:class:`CostFit`) or from an observed run's
-tracer spans (:class:`EmpiricalFit`).  :func:`plan_capacity` inverts it
-into a deployment plan, and ``repro crossval`` keeps it honest against
-the simulator.
+resource sharing, and the bottleneck station — calibrated straight off
+the cost model (:class:`CostFit`).  :func:`plan_capacity` inverts it into
+a deployment plan, and ``repro crossval`` keeps it honest against the
+simulator.
 """
 
-from repro.analysis.fit import CostFit, EmpiricalFit, ServiceMoments
+from repro.analysis.fit import CostFit, ServiceMoments
 from repro.analysis.phase_model import (
     ChannelPrediction,
     PhaseLatency,
@@ -46,7 +45,6 @@ __all__ = [
     "ChannelDemand",
     "ChannelPrediction",
     "CostFit",
-    "EmpiricalFit",
     "PhaseLatency",
     "PhaseModel",
     "PlanOption",

@@ -53,6 +53,7 @@ from repro.analysis.workload import (
 )
 from repro.common.config import TopologyConfig, WorkloadConfig
 from repro.metrics.stats import lognormal_quantile
+from repro.runtime.costs import CostModel
 
 __all__ = ["WaitDistribution", "PhaseLatency", "StationLoad",
            "ChannelPrediction", "SystemPrediction", "PhaseModel"]
@@ -289,20 +290,20 @@ class PhaseModel:
     """Composes the per-phase stations for one deployment configuration.
 
     Build it from the same :class:`TopologyConfig` / :class:`WorkloadConfig`
-    pair a :class:`~repro.fabric.network.FabricNetwork` consumes, optionally
-    with a calibration ``fit`` (default: :class:`CostFit` straight off the
-    cost model and the topology's state-DB backend).  :meth:`predict` is
-    closed-form — microseconds per call, no simulation.
+    pair (and, optionally, the same :class:`~repro.runtime.costs.CostModel`)
+    a :class:`~repro.fabric.network.FabricNetwork` consumes; services come
+    from a :class:`CostFit` over those costs and the topology's state-DB
+    backend.  :meth:`predict` is closed-form — microseconds per call, no
+    simulation.
     """
 
     def __init__(self, topology: TopologyConfig,
                  workload: WorkloadConfig,
-                 fit: CostFit | None = None,
+                 costs: CostModel | None = None,
                  workload_kind: str = "unique") -> None:
         self.topology = topology
         self.workload = workload
-        self.fit = fit if fit is not None else CostFit(
-            statedb=topology.statedb)
+        self.fit = CostFit(costs, topology.statedb)
         self.demands = resolve_demands(topology, workload, workload_kind)
 
     # -- per-channel block cutting --------------------------------------
@@ -425,10 +426,8 @@ class PhaseModel:
             peer_cpu += (rate * fit.validate_cpu_per_tx(demand.endorsements)
                          + blocks * costs.block_verify_cpu)
             peer_disk += blocks * costs.commit_per_block_io
-            reads = _reads_per_tx(demand)
-            peer_statedb += blocks * (
-                costs.statedb_commit_io(fit.statedb, size)
-                + costs.statedb_read_io(fit.statedb, size, reads))
+            peer_statedb += blocks * fit.statedb_block_io(
+                size, _reads_per_tx(demand))
         util["peer.cpu"] = peer_cpu / costs.peer_cores
         util["peer.disk"] = peer_disk
         util["peer.statedb"] = peer_statedb

@@ -118,7 +118,7 @@ def crossval_scenario(name: str, seed: int = GOLDEN_SEED,
     network = _build_network(scenario, seed)
     metrics = network.run_workload()
     model = PhaseModel(network.topology, network.workload_config,
-                       fit=None)
+                       costs=network.context.costs)
     prediction = model.predict()
     latency = prediction.latency
     checks = [

@@ -51,7 +51,7 @@ def run_table1() -> ExperimentResult:
          f"{topology.network_latency * 1e6:.0f} us latency"],
         ["Hard disk", "SEAGATE ST3250310AS",
          f"commit I/O {costs.commit_per_block_io * 1e3:.0f} ms/block + "
-         f"{costs.commit_per_tx_io * 1e3:.2f} ms/tx"],
+         f"{costs.leveldb_write_per_key_io * 1e3:.2f} ms/tx"],
         ["Fabric version", "1.4.3 LTS", "v1.4 execute-order-validate model"],
         ["SDK", "fabric-sdk-node 1.0.0 / Node.js 8.16.2",
          f"client CPU {1e3 * (costs.client_prep_cpu + costs.client_collect_cpu + costs.client_submit_cpu):.0f} ms/tx "

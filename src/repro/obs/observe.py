@@ -137,14 +137,12 @@ class Observability:
                 })
         return events
 
-    def to_chrome_trace(self,
-                        counters: bool = True) -> dict[str, typing.Any]:
+    def to_chrome_trace(self) -> dict[str, typing.Any]:
         """The full run as Chrome ``trace_event`` JSON (spans + counters)."""
-        extra = self.counter_events() if counters else None
-        return self.tracer.to_chrome_trace(extra_events=extra)
+        return self.tracer.to_chrome_trace(extra_events=self.counter_events())
 
-    def write_chrome_trace(self, path: str, counters: bool = True) -> None:
+    def write_chrome_trace(self, path: str) -> None:
         import json
 
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_chrome_trace(counters=counters), handle)
+            json.dump(self.to_chrome_trace(), handle)

@@ -1,8 +1,8 @@
 """Hierarchical span tracing on the simulated clock.
 
 A :class:`Tracer` records *spans* — named intervals of simulated time tied
-to a node and (optionally) a transaction — plus instantaneous events and
-counter series.  Spans are opened with a context manager::
+to a node and (optionally) a transaction — plus instantaneous events.
+Spans are opened with a context manager::
 
     with tracer.span("endorse", category="execute", node=peer.name,
                      tx_id=proposal.tx_id) as span:
@@ -140,10 +140,6 @@ class NullTracer:
                 **args: typing.Any) -> None:
         return None
 
-    def counter(self, name: str, node: str = "",
-                **values: float) -> None:
-        return None
-
     def attach_wait(self, seconds: float) -> None:
         return None
 
@@ -161,7 +157,7 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Records spans, instants, and counters against the simulated clock."""
+    """Records spans and instants against the simulated clock."""
 
     enabled = True
 
@@ -170,7 +166,6 @@ class Tracer:
         self.spans: list[Span] = []
         self.instants: list[
             tuple[float, str, str, str, dict[str, typing.Any] | None]] = []
-        self.counters: list[tuple[float, str, str, dict[str, float]]] = []
         #: Block composition: (channel, number) -> tx_ids, recorded by the
         #: ordering service when it cuts a block.  Critical-path extraction
         #: uses it to tie a transaction to its block's ordering spans.
@@ -197,11 +192,6 @@ class Tracer:
         """Record an instantaneous event at the current simulated time."""
         self.instants.append(
             (self.sim.now, name, category, node, args or None))
-
-    def counter(self, name: str, node: str = "",
-                **values: float) -> None:
-        """Record a named counter sample (rendered as a chart track)."""
-        self.counters.append((self.sim.now, name, node, dict(values)))
 
     def attach_wait(self, seconds: float) -> None:
         """Add queue-wait seconds to the active process's innermost span.
@@ -333,14 +323,6 @@ class Tracer:
                 "pid": pid_for(node),
                 "tid": 0,
                 "args": args or {},
-            })
-        for when, name, node, values in self.counters:
-            events.append({
-                "name": name,
-                "ph": "C",
-                "ts": round(when * 1e6, 3),
-                "pid": pid_for(node),
-                "args": values,
             })
         if extra_events:
             for event in extra_events:

@@ -18,12 +18,9 @@ comparison in EXPERIMENTS.md.  The key calibration targets:
 from __future__ import annotations
 
 import dataclasses
-import typing
+from math import inf
 
 from repro.common.errors import ConfigurationError
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.common.config import StateDBConfig
 
 
 @dataclasses.dataclass
@@ -73,10 +70,6 @@ class CostModel:
     mvcc_per_tx_cpu: float = 0.00025
     #: Block commit: ledger (block store) append, one fsync per block.
     commit_per_block_io: float = 0.018
-    #: Legacy flat per-transaction commit cost.  Kept for the analytical
-    #: model; the simulated commit path now charges the per-operation state
-    #: database costs below instead (the LevelDB defaults reproduce it).
-    commit_per_tx_io: float = 0.00012
     #: Verify the orderer's signature on a received block.
     block_verify_cpu: float = 0.0008
 
@@ -90,8 +83,8 @@ class CostModel:
     #: GoLevelDB WriteBatch: the batch fsync rides the block-store append
     #: (commit_per_block_io), so only the per-key cost is charged.
     leveldb_write_batch_base_io: float = 0.0
-    #: GoLevelDB per-key cost inside a write batch (matches the legacy
-    #: commit_per_tx_io calibration, so default runs reproduce the paper).
+    #: GoLevelDB per-key cost inside a write batch (the flat 0.12 ms per
+    #: transaction commit calibration, so default runs reproduce the paper).
     leveldb_write_per_key_io: float = 0.00012
     #: CouchDB per-HTTP-request overhead (connection, headers, JSON parse)
     #: — the dominant term Thakkar et al. measure, and what the bulk APIs
@@ -134,10 +127,13 @@ class CostModel:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
+        # Written so that NaN fails it: a NaN or infinite cost reaches the
+        # kernel as a delay it cannot schedule, mid-run and unnamed.
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if isinstance(value, (int, float)) and value < 0:
-                raise ConfigurationError(f"{field.name} must be >= 0")
+            if isinstance(value, (int, float)) and not 0 <= value < inf:
+                raise ConfigurationError(
+                    f"{field.name} must be finite and >= 0, got {value}")
         for field_name in ("peer_cores", "endorser_concurrency",
                            "validator_workers", "orderer_cores",
                            "client_threads"):
@@ -168,59 +164,3 @@ class CostModel:
             value = key[1] + key[2] * endorsements
             memo[key] = value
         return value
-
-    # ------------------------------------------------------------------
-    # State-database analytic cost contract
-    # ------------------------------------------------------------------
-    # Closed-form mirrors of the backend cost hooks in repro.statedb: the
-    # analytic phase model prices a block's state-DB work from the same
-    # constants the simulated backends charge, without instantiating one.
-
-    def statedb_commit_io(self, statedb: "StateDBConfig",
-                          block_txs: float,
-                          writes_per_tx: float = 1.0) -> float:
-        """I/O seconds to commit one block's write sets through ``statedb``.
-
-        Mirrors ``LevelDBBackend._commit_cost`` / ``CouchDBBackend
-        ._commit_cost``: LevelDB writes blindly through one batch; CouchDB
-        pays per-request overhead (amortized by ``bulk``) and must learn
-        unknown revisions first (eliminated by the read ``cache``).
-        """
-        writes = block_txs * writes_per_tx
-        if writes <= 0:
-            return 0.0
-        if statedb.kind == "leveldb":
-            return (self.leveldb_write_batch_base_io
-                    + writes * self.leveldb_write_per_key_io)
-        unknown = 0.0 if statedb.cache else writes
-        per_doc = writes * self.couch_write_per_doc_io
-        if statedb.bulk:
-            cost = self.couch_request_io + per_doc
-            if unknown:
-                cost += (self.couch_request_io
-                         + unknown * self.couch_read_per_doc_io)
-            return cost
-        cost = writes * self.couch_request_io + per_doc
-        cost += unknown * (self.couch_request_io
-                           + self.couch_read_per_doc_io)
-        return cost
-
-    def statedb_read_io(self, statedb: "StateDBConfig",
-                        block_txs: float,
-                        reads_per_tx: float = 0.0) -> float:
-        """I/O seconds to serve one block's validation read set.
-
-        The "unique" workload writes fresh keys and reads nothing
-        (``reads_per_tx`` 0); "conflict" read-modify-writes read one key
-        per transaction.  A warm read cache absorbs the read set entirely
-        (the Thakkar best case the simulated ablation converges to).
-        """
-        reads = block_txs * reads_per_tx
-        if reads <= 0 or statedb.cache:
-            return 0.0
-        if statedb.kind == "leveldb":
-            return reads * self.leveldb_read_io
-        if statedb.bulk:
-            return (self.couch_request_io
-                    + reads * self.couch_read_per_doc_io)
-        return reads * (self.couch_request_io + self.couch_read_per_doc_io)

@@ -57,29 +57,6 @@ class TieRecord(typing.NamedTuple):
     second_owner: str
 
 
-def _owner_of(event: "Event") -> str:
-    """A stable label for the process(es) an event belongs to / resumes.
-
-    A :class:`~repro.sim.core.Process` completion event is labelled with
-    its own generator name; any other event with the names of the
-    processes its callbacks resume (bound ``_resume`` methods).  A
-    process's completion pop therefore shares its label with the resumes
-    that drove it, so the tie auditor only counts ties between genuinely
-    *distinct* processes.  Memory addresses are deliberately excluded —
-    labels must be identical across runs.
-    """
-    if isinstance(event, Process):
-        return event.name
-    names: list[str] = []
-    for callback in event.callbacks or ():
-        owner = getattr(callback, "__self__", None)
-        if isinstance(owner, Process):
-            names.append(owner.name)
-    if names:
-        return ",".join(names)
-    return "-"
-
-
 class TraceDigest:
     """Streaming SHA-256 over the event schedule, plus a tie audit.
 
@@ -122,8 +99,13 @@ class TraceDigest:
     # ------------------------------------------------------------------
 
     def record(self, when: float, seq: int, event: "Event") -> None:
-        # Inlined _owner_of: this method runs once per popped event, so a
-        # digested reference run pays it ~10^6 times.
+        # The owner labels the process(es) an event belongs to or resumes:
+        # a Process completion by its own generator name, any other event
+        # by the names of the processes its callbacks resume, else "-".  A
+        # completion pop so shares its label with the resumes that drove
+        # it, and the tie auditor only counts ties between distinct
+        # processes.  No memory addresses: labels must match across runs.
+        # Inline because it runs once per pop, ~10^6 times a reference run.
         if isinstance(event, Process):
             owner = event.name
         else:

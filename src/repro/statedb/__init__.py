@@ -17,6 +17,7 @@ from repro.statedb.leveldb import LevelDBBackend
 from repro.statedb.snapshot import Snapshot, SnapshotManifest
 
 __all__ = [
+    "BACKENDS",
     "BackendStats",
     "CouchDBBackend",
     "LevelDBBackend",
@@ -27,7 +28,9 @@ __all__ = [
     "build_backend",
 ]
 
-_BACKENDS: dict[str, type[StateBackend]] = {
+#: Backend class per ``StateDBConfig.kind``.  The analytic phase model
+#: prices state-DB work with these classes' static cost functions.
+BACKENDS: dict[str, type[StateBackend]] = {
     "leveldb": LevelDBBackend,
     "couchdb": CouchDBBackend,
 }
@@ -37,4 +40,4 @@ def build_backend(config: StateDBConfig, costs: CostModel) -> StateBackend:
     """Construct the backend described by ``config``."""
     config.validate()
     cache = ReadCache(config.cache_size) if config.cache else None
-    return _BACKENDS[config.kind](costs, cache=cache, bulk=config.bulk)
+    return BACKENDS[config.kind](costs, cache=cache, bulk=config.bulk)

@@ -87,22 +87,31 @@ class StateBackend:
     # ------------------------------------------------------------------
     # Cost hooks (backend-specific)
     # ------------------------------------------------------------------
+    # The state-DB cost contract, stated once: static functions of the
+    # cost constants and operation counts.  The analytic phase model calls
+    # them with its expected (fractional) per-block counts.
 
-    def _point_read_cost(self) -> float:
+    @staticmethod
+    def _point_read_cost(costs: CostModel) -> float:
         raise NotImplementedError
 
-    def _scan_cost(self, num_keys: int) -> float:
+    @staticmethod
+    def _scan_cost(costs: CostModel, num_keys: float) -> float:
         raise NotImplementedError
 
-    def _bulk_read_cost(self, num_keys: int) -> float:
+    @staticmethod
+    def _bulk_read_cost(costs: CostModel, num_keys: float) -> float:
         raise NotImplementedError
 
-    def _commit_cost(self, num_writes: int, unknown_revisions: int) -> float:
+    @staticmethod
+    def _commit_cost(costs: CostModel, num_writes: float,
+                     unknown_revisions: float, bulk: bool) -> float:
         """Cost of committing ``num_writes`` keys in one batch.
 
         ``unknown_revisions`` counts write keys whose current revision is
         not locally known (cache/prefetch miss) — CouchDB must look these
-        up before writing; LevelDB ignores them.
+        up before writing; LevelDB ignores them.  ``bulk`` selects the
+        backend's bulk-update path.
         """
         raise NotImplementedError
 
@@ -133,7 +142,7 @@ class StateBackend:
             return self.cache.lookup(key)
         entry = self._store.get(key)
         self.stats.reads += 1
-        self._pending_cost += self._point_read_cost()
+        self._pending_cost += self._point_read_cost(self.costs)
         if self.cache is not None:
             self.stats.cache_misses += 1
             self.cache.insert(key, entry)
@@ -150,7 +159,7 @@ class StateBackend:
         result = self._store.range_scan(start_key, end_key)
         self.stats.range_scans += 1
         self.stats.scanned_keys += len(result)
-        self._pending_cost += self._scan_cost(len(result))
+        self._pending_cost += self._scan_cost(self.costs, len(result))
         return result
 
     def bulk_get(self, keys: typing.Iterable[str]) -> None:
@@ -173,7 +182,7 @@ class StateBackend:
             return
         self.stats.bulk_read_batches += 1
         self.stats.reads += len(missing)
-        self._pending_cost += self._bulk_read_cost(len(missing))
+        self._pending_cost += self._bulk_read_cost(self.costs, len(missing))
         for key in missing:
             entry = self._store.get(key)
             self._prefetched[key] = entry
@@ -199,7 +208,10 @@ class StateBackend:
                 self._prefetched)
             if cache is not None:
                 unknown = {key for key in unknown if key not in cache}
-            self._pending_cost += self._commit_cost(len(batch), len(unknown))
+            self._pending_cost += self._commit_cost(
+                self.costs, len(batch), len(unknown), self.bulk)
+            if self.kind == "couchdb":  # learns each unknown _rev first
+                stats.revision_lookups += len(unknown)
             if self.bulk:
                 stats.bulk_write_batches += 1
         deletes = self._store.apply_batch(batch)

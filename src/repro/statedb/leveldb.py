@@ -4,12 +4,13 @@ Fabric's default state database runs in the peer process.  Point reads hit
 the memtable/SSTable cache; commits go through a single WriteBatch whose
 fsync rides the block-store append, leaving only a small per-key cost.  The
 default constants reproduce the repo's original flat commit calibration
-(``commit_per_tx_io`` per transaction), so LevelDB runs match the paper's
-measured peaks unchanged.
+(``leveldb_write_per_key_io``, 0.12 ms per transaction), so LevelDB runs
+match the paper's measured peaks unchanged.
 """
 
 from __future__ import annotations
 
+from repro.runtime.costs import CostModel
 from repro.statedb.backend import StateBackend
 
 
@@ -18,20 +19,24 @@ class LevelDBBackend(StateBackend):
 
     kind = "leveldb"
 
-    def _point_read_cost(self) -> float:
-        return self.costs.leveldb_read_io
+    @staticmethod
+    def _point_read_cost(costs: CostModel) -> float:
+        return costs.leveldb_read_io
 
-    def _scan_cost(self, num_keys: int) -> float:
-        return (self.costs.leveldb_read_io
-                + num_keys * self.costs.leveldb_scan_per_key_io)
+    @staticmethod
+    def _scan_cost(costs: CostModel, num_keys: float) -> float:
+        return costs.leveldb_read_io + num_keys * costs.leveldb_scan_per_key_io
 
-    def _bulk_read_cost(self, num_keys: int) -> float:
+    @staticmethod
+    def _bulk_read_cost(costs: CostModel, num_keys: float) -> float:
         # An embedded store has no request round trip to amortize: a bulk
         # read is just the point reads back to back.
-        return num_keys * self.costs.leveldb_read_io
+        return num_keys * costs.leveldb_read_io
 
-    def _commit_cost(self, num_writes: int, unknown_revisions: int) -> float:
+    @staticmethod
+    def _commit_cost(costs: CostModel, num_writes: float,
+                     unknown_revisions: float, bulk: bool) -> float:
         # LevelDB writes blindly (no revision read-before-write); a batch
         # of N keys costs the batch setup plus N sequential appends.
-        return (self.costs.leveldb_write_batch_base_io
-                + num_writes * self.costs.leveldb_write_per_key_io)
+        return (costs.leveldb_write_batch_base_io
+                + num_writes * costs.leveldb_write_per_key_io)

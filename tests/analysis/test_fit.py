@@ -2,52 +2,17 @@
 
 import pytest
 
-from repro.analysis.fit import CostFit, EmpiricalFit, ServiceMoments
+from repro.analysis.fit import CostFit, ServiceMoments
 from repro.common.config import StateDBConfig
+from repro.common.types import KVWrite
+from repro.ledger.statedb import committed_write
 from repro.runtime.costs import CostModel
-
-
-class FakeSpan:
-    """Minimal stand-in for a tracer Span."""
-
-    def __init__(self, name, start, end, wait=0.0, args=None):
-        self.name = name
-        self.start = start
-        self.end = end
-        self.wait = wait
-        self.args = args
-
-    @property
-    def duration(self):
-        return self.end - self.start
+from repro.statedb import build_backend
 
 
 # ----------------------------------------------------------------------
 # ServiceMoments
 # ----------------------------------------------------------------------
-
-def test_moments_from_samples():
-    moments = ServiceMoments.from_samples([1.0, 2.0, 3.0])
-    assert moments.mean == pytest.approx(2.0)
-    assert moments.var == pytest.approx(1.0)  # sample variance, n-1
-    assert moments.scv == pytest.approx(0.25)
-
-
-def test_moments_degenerate_samples():
-    assert ServiceMoments.from_samples([]).mean == 0.0
-    single = ServiceMoments.from_samples([0.5])
-    assert single.mean == pytest.approx(0.5)
-    assert single.scv == 0.0
-
-
-def test_moments_mixture():
-    a = ServiceMoments(1.0, 0.0)
-    b = ServiceMoments(3.0, 0.0)
-    mixed = ServiceMoments.mixture([(0.5, a), (0.5, b)])
-    assert mixed.mean == pytest.approx(2.0)
-    # Mixture of point masses at 1 and 3: variance 1.
-    assert mixed.var == pytest.approx(1.0)
-
 
 def test_moments_reject_negative():
     with pytest.raises(ValueError):
@@ -115,74 +80,40 @@ def test_consensus_round_trip_ordering():
 
 
 # ----------------------------------------------------------------------
-# EmpiricalFit: moment recovery from synthetic spans
+# The state-DB cost contract: the model prices what the backend charges
 # ----------------------------------------------------------------------
 
-def test_empirical_fit_recovers_endorse_service():
-    spans = [FakeSpan("endorse", start=i, end=i + 0.010, wait=0.003)
-             for i in range(20)]
-    fit = EmpiricalFit.from_spans(spans, costs=CostModel())
-    assert fit.endorse_service().mean == pytest.approx(0.007)
-    # The observed span covers the container round trip already.
-    assert fit.endorse_latency_overhead() == 0.0
-
-
-def test_empirical_fit_regression_splits_fixed_and_marginal():
-    # Synthetic blocks: service = 0.02 fixed + 0.001 per tx, no noise.
-    spans = [FakeSpan("validate.block", start=0.0,
-                      end=0.02 + 0.001 * txs, wait=0.0,
-                      args={"txs": txs})
-             for txs in (10, 20, 50, 80, 100)]
-    fit = EmpiricalFit.from_spans(spans, costs=CostModel())
-    assert fit.validate_per_tx_marginal(5) == pytest.approx(0.001,
-                                                            rel=1e-6)
-    block = fit.validate_block_service(60.0, endorsements=5)
-    assert block.mean == pytest.approx(0.02 + 0.06, rel=1e-6)
-
-
-def test_empirical_fit_single_block_size_attributes_to_marginal():
-    spans = [FakeSpan("validate.block", 0.0, 0.05, args={"txs": 50})
-             for _ in range(3)]
-    fit = EmpiricalFit.from_spans(spans, costs=CostModel())
-    assert fit.validate_per_tx_marginal(1) == pytest.approx(0.001)
-
-
-def test_empirical_fit_falls_back_to_costs_when_unobserved():
+@pytest.mark.parametrize("block_txs", [1, 37, 100])
+@pytest.mark.parametrize("workload", ["unique", "conflict"])
+@pytest.mark.parametrize("bulk", [False, True])
+@pytest.mark.parametrize("cache", [False, True])
+@pytest.mark.parametrize("kind", ["leveldb", "couchdb"])
+def test_statedb_block_io_matches_the_backend(kind, cache, bulk, workload,
+                                              block_txs):
     costs = CostModel()
-    fit = EmpiricalFit.from_spans([], costs=costs)
-    base = CostFit(costs)
-    assert fit.endorse_service().mean == base.endorse_service().mean
-    assert (fit.validate_block_service(100.0, 5).mean
-            == base.validate_block_service(100.0, 5).mean)
-    assert fit.client_service().mean == base.client_service().mean
-
-
-# ----------------------------------------------------------------------
-# EmpiricalFit: recovery from a real (seeded, short) simulated run
-# ----------------------------------------------------------------------
-
-def test_empirical_fit_from_short_observed_run():
-    from repro.experiments.runner import make_topology, make_workload
-    from repro.fabric.network import FabricNetwork
-
-    topology = make_topology("solo", "AND5", 4)
-    workload = make_workload(60.0, 4.0)
-    network = FabricNetwork(topology, workload, seed=1, observe=True)
-    metrics = network.run_workload()
-    fit = EmpiricalFit.from_network(network, metrics=metrics)
-    costs = network.context.costs
-
-    # Endorse service: CPU + container round trip, within a small slack
-    # (TLS per-message CPU rides the same span).
-    endorse = fit.endorse_service().mean
-    expected = costs.endorse_cpu + costs.chaincode_container_latency
-    assert endorse == pytest.approx(expected, rel=0.25)
-
-    # The observed wall-clock marginal sits between the idealized
-    # worker-parallel marginal and the fully serial per-tx cost (worker
-    # overlap is imperfect and the span includes CPU contention).
-    marginal = fit.validate_per_tx_marginal(5)
-    parallel_bound = CostFit(costs).validate_per_tx_marginal(5)
-    serial_bound = (costs.vscc_tx_cpu(5) + costs.mvcc_per_tx_cpu
-                    + costs.leveldb_write_per_key_io)
-    assert 0.8 * parallel_bound < marginal < 1.2 * serial_bound
+    statedb = StateDBConfig(kind=kind, cache=cache, bulk=bulk)
+    backend = build_backend(statedb, costs)
+    keys = [f"k{index}" for index in range(block_txs)]
+    # A "unique" transaction writes a fresh key and reads nothing; a
+    # "conflict" one reads the existing key it then writes.
+    read_keys = keys if workload == "conflict" else []
+    backend.apply_writes([KVWrite(key, b"0") for key in read_keys],
+                         version=(1, 0))
+    if cache:
+        # The model's stated assumption: the read set is cached.
+        for key in read_keys:
+            backend.get(key)
+        backend.drain_cost()
+    # The validator's calls for one block: bulk prefetch, MVCC's version
+    # reads, then one commit batch.
+    if bulk:
+        backend.bulk_get(read_keys)
+    for key in read_keys:
+        backend.get_version(key)
+    backend.commit_batch([committed_write(KVWrite(key, b"1"), (2, index))
+                          for index, key in enumerate(keys)])
+    charged = backend.drain_cost()
+    reads_per_tx = 1.0 if workload == "conflict" else 0.0
+    priced = CostFit(costs, statedb).statedb_block_io(float(block_txs),
+                                                      reads_per_tx)
+    assert priced == pytest.approx(charged, rel=1e-9)

@@ -5,7 +5,6 @@ import math
 
 import pytest
 
-from repro.analysis.fit import CostFit
 from repro.analysis.phase_model import (
     PhaseLatency,
     PhaseModel,
@@ -29,8 +28,7 @@ def _model(policy="OR(1..n)", peers=10, rate=100.0, clients=10,
     if statedb is not None:
         topology = dataclasses.replace(topology, statedb=statedb)
     workload = WorkloadConfig(arrival_rate=rate, num_clients=clients)
-    fit = CostFit(costs, topology.statedb) if costs else None
-    return PhaseModel(topology, workload, fit=fit)
+    return PhaseModel(topology, workload, costs=costs)
 
 
 # ----------------------------------------------------------------------

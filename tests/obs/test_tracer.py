@@ -82,7 +82,6 @@ def test_null_tracer_is_falsy_and_inert():
     with span as inner:
         inner.annotate(a=1).set_wait(2.0)
     assert NULL_TRACER.instant("i") is None
-    assert NULL_TRACER.counter("c", busy=1.0) is None
 
 
 def test_chrome_trace_is_valid_json_with_complete_events():

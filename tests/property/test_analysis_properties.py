@@ -6,7 +6,6 @@ import math
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.analysis.fit import CostFit
 from repro.analysis.phase_model import PhaseModel
 from repro.common.config import (
     ChannelConfig,
@@ -22,8 +21,7 @@ def _predict_capacity(costs, policy="AND5", rate=100.0):
         num_endorsing_peers=10,
         channel=ChannelConfig(endorsement_policy=policy))
     workload = WorkloadConfig(arrival_rate=rate, num_clients=10)
-    fit = CostFit(costs, topology.statedb)
-    return PhaseModel(topology, workload, fit=fit).predict()
+    return PhaseModel(topology, workload, costs=costs).predict()
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=0.01),

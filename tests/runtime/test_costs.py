@@ -1,19 +1,21 @@
 """Tests for the calibrated cost model."""
 
+import math
+
 import pytest
 
-from repro.analysis import CostFit, PhaseModel
+from repro.analysis import PhaseModel
 from repro.common.config import TopologyConfig, WorkloadConfig
 from repro.common.errors import ConfigurationError
+from repro.fabric.network import FabricNetwork
 from repro.runtime.costs import CostModel
 
 
 def validate_capacity(costs):
     """The phase model's validate-station capacity under ``costs``."""
-    topology = TopologyConfig()
-    fit = CostFit(costs, topology.statedb)
-    prediction = PhaseModel(topology, WorkloadConfig(arrival_rate=100.0),
-                            fit=fit).predict()
+    prediction = PhaseModel(TopologyConfig(),
+                            WorkloadConfig(arrival_rate=100.0),
+                            costs=costs).predict()
     (station,) = [s for s in prediction.stations
                   if s.name.startswith("validate:")]
     return station.capacity
@@ -27,6 +29,20 @@ def test_negative_cost_rejected():
     costs = CostModel(endorse_cpu=-1)
     with pytest.raises(ConfigurationError):
         costs.validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_cost_rejected_naming_the_field(value):
+    # Caught at construction, before the kernel pops a single event, and
+    # by the model, which would otherwise predict from the bad value.
+    costs = CostModel(endorse_cpu=value)
+    message = "endorse_cpu must be finite and >= 0"
+    with pytest.raises(ConfigurationError, match=message):
+        costs.validate()
+    with pytest.raises(ConfigurationError, match=message):
+        FabricNetwork(TopologyConfig(), WorkloadConfig(), costs=costs)
+    with pytest.raises(ConfigurationError, match=message):
+        PhaseModel(TopologyConfig(), WorkloadConfig(), costs=costs)
 
 
 def test_zero_worker_counts_rejected():
