@@ -1,29 +1,27 @@
 """Workload structure as the analytic models see it.
 
-The simulator resolves a :class:`~repro.common.config.WorkloadConfig` into
-concrete arrival streams three different ways — classic per-client
-round-robin, explicit per-channel mixes, and aggregated client populations
-(cohorts).  The analytic models must agree with that resolution exactly,
-or predictions drift from the simulator for configuration reasons rather
-than modelling ones.  This module derives, from the same config objects
-the simulator consumes:
+The models read the simulator's own load plan
+(:func:`repro.common.config.plan_load`): one slice per submitting client,
+classic or cohort, with its channel, rate and transaction shape.  Summing
+the plan per channel gives, from the same config objects the simulator
+consumes:
 
 - per-channel aggregate arrival rates (tx/s);
-- per-channel client (or cohort) process counts, which bound the client
-  stage's service pool;
+- per-channel counts of loaded client (or cohort) processes, which bound
+  the client stage's service pool;
 - the number of endorsements a satisfying envelope carries per channel.
 
-Population mode reuses :func:`repro.client.population.plan_cohorts`, so
-cohort rates match the simulator's planning code path by construction.
+The model and the simulator therefore cannot disagree on how a
+configuration turns into load.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.chaincode.policy import EndorsementPolicy, resolve_policy_spec
-from repro.client.population import plan_cohorts
-from repro.common.config import TopologyConfig, WorkloadConfig
+from repro.common.config import TopologyConfig, WorkloadConfig, plan_load
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,60 +52,26 @@ class ChannelDemand:
 def resolve_demands(topology: TopologyConfig,
                     workload: WorkloadConfig,
                     workload_kind: str = "unique") -> list[ChannelDemand]:
-    """Per-channel demands, mirroring the simulator's workload resolution.
-
-    Rate priority matches :class:`~repro.fabric.network.FabricNetwork`:
-    population ``user_rate``, then per-channel mixes, then an even split of
-    ``arrival_rate`` implied by the clients' channel round-robin.
-    """
+    """Per-channel demands: the simulator's load plan summed per channel."""
     topology.validate(workload)
-    channel_configs = [topology.channel] + list(topology.extra_channels)
+    plan = plan_load(topology, workload, workload_kind)
     peer_names = [f"peer{i}"
                   for i in range(topology.num_endorsing_peers)]
-    policies = {config.name: resolve_policy_spec(config.endorsement_policy,
-                                                 peer_names)
-                for config in channel_configs}
-    names = [config.name for config in channel_configs]
-
-    if workload.population is not None:
-        specs = plan_cohorts(names, workload, workload=workload_kind)
-        demands = []
-        for name in names:
-            on_channel = [spec for spec in specs if spec.channel == name]
-            demands.append(ChannelDemand(
-                channel=name,
-                rate=sum(spec.rate for spec in on_channel),
-                clients=len(on_channel),
-                policy=policies[name],
-                workload=on_channel[0].workload if on_channel
-                else workload_kind))
-        return demands
-
-    num_clients = (workload.num_clients if workload.num_clients is not None
-                   else topology.num_endorsing_peers)
-    # Classic mode: client i is bound to channel i % C (network assembly),
-    # so a channel's client group is the round-robin slice.
-    group_sizes = {name: 0 for name in names}
-    for index in range(num_clients):
-        group_sizes[names[index % len(names)]] += 1
-
-    if workload.per_channel is not None:
-        return [ChannelDemand(
-            channel=name,
-            rate=workload.per_channel[name].rate,
-            clients=group_sizes[name],
-            policy=policies[name],
-            workload=workload.per_channel[name].workload)
-            for name in names]
-
-    per_client = (workload.arrival_rate / num_clients if num_clients else 0.0)
-    return [ChannelDemand(
-        channel=name,
-        rate=per_client * group_sizes[name],
-        clients=group_sizes[name],
-        policy=policies[name],
-        workload=workload_kind)
-        for name in names]
+    demands = []
+    for config in [topology.channel] + list(topology.extra_channels):
+        loads = [load for load in plan if load.channel == config.name]
+        # A per-channel mix may leave an idle channel without clients;
+        # it keeps its mix's shape.
+        shape = (loads[0].workload if loads
+                 else (workload.per_channel or {})[config.name].workload)
+        demands.append(ChannelDemand(
+            channel=config.name,
+            rate=math.fsum(load.rate for load in loads),
+            clients=sum(1 for load in loads if load.rate > 0),
+            policy=resolve_policy_spec(config.endorsement_policy,
+                                       peer_names),
+            workload=shape))
+    return demands
 
 
 def offered_rate(demands: list[ChannelDemand]) -> float:

@@ -12,11 +12,12 @@ several client processes run simultaneously (one per endorsing peer, each
 receiving a fraction of the aggregate arrival rate, as in Fig. 1),
 transactions are invoked asynchronously without waiting for previous
 responses, and each client issues many transactions (MSP setup is paid once).
+It drives the clients of :func:`repro.common.config.plan_load`, the one
+statement of the load rule: classic clients, or aggregated user cohorts
+that carry millions of virtual users on O(cohorts) processes.
 """
 
-from repro.client.population import ClientPopulation, Cohort, plan_cohorts
 from repro.client.sdk import ClientNode
 from repro.client.workload import WorkloadGenerator
 
-__all__ = ["ClientNode", "ClientPopulation", "Cohort", "WorkloadGenerator",
-           "plan_cohorts"]
+__all__ = ["ClientNode", "WorkloadGenerator"]

@@ -9,11 +9,14 @@ and one workload client per endorsing peer.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from math import inf
 
 from repro.common.errors import ConfigurationError
 
 ORDERER_KINDS = ("solo", "kafka", "raft")
+#: Transaction shapes: fresh-key writes, or read-modify-writes that conflict.
+WORKLOAD_KINDS = ("unique", "conflict")
 
 
 @dataclasses.dataclass
@@ -108,7 +111,7 @@ class ChannelWorkload:
             raise ConfigurationError(
                 f"channel {channel!r} rate must be finite and >= 0, got "
                 f"{self.rate}")
-        if self.workload not in ("unique", "conflict"):
+        if self.workload not in WORKLOAD_KINDS:
             raise ConfigurationError(
                 f"channel {channel!r} has unknown workload "
                 f"{self.workload!r}; expected 'unique' or 'conflict'")
@@ -318,12 +321,12 @@ class TopologyConfig:
     #: False: every peer opens a deliver stream to an OSN (the paper's
     #: setup).  True: only a leader peer does, and gossips blocks onward.
     gossip: bool = False
-    #: Gossip dissemination fan-out.  0 (the default) keeps the flat
-    #: leader-broadcasts-to-all mode; N > 0 arranges the peers in an
+    #: Gossip dissemination fan-out.  N > 0 arranges the peers in an
     #: N-ary relay tree rooted at the leader, so a block reaches P peers
     #: in O(log_N P) hops with every peer forwarding at most N copies —
     #: the sane shape for 100+ peer deployments, where a flat fan-out
-    #: serialises P-1 unicasts through the leader's NIC.
+    #: serialises P-1 unicasts through the leader's NIC.  0 (the default)
+    #: is that flat fan-out: the tree of fan-out P-1.
     gossip_fanout: int = 0
 
     def validate(self, workload: "WorkloadConfig | None" = None) -> None:
@@ -333,7 +336,8 @@ class TopologyConfig:
         catches cross-config mistakes a single config cannot see — most
         importantly silent channel starvation, where fewer clients than
         channels leaves the round-robin assignment with zero traffic on
-        some channels and no diagnostic at all.
+        some channels, or no client to carry a channel's per-channel
+        rate (see :func:`plan_load`).
         """
         if self.num_endorsing_peers < 1:
             raise ConfigurationError("need at least one endorsing peer")
@@ -354,10 +358,9 @@ class TopologyConfig:
         self.orderer.validate()
         self.channel.validate()
         self.statedb.validate()
-        names = [self.channel.name]
         for channel in self.extra_channels:
             channel.validate()
-            names.append(channel.name)
+        names = self.channel_names
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate channel names in {names}")
         if workload is not None:
@@ -378,22 +381,158 @@ class TopologyConfig:
                     f"per_channel workload must cover every channel; "
                     f"missing {missing} (use ChannelWorkload(rate=0) for "
                     "deliberately idle channels)")
-            return
-        if workload.population is not None:
-            return  # population mode places cohorts on every channel
-        # Classic mode: clients round-robin over channels, one channel
-        # each.  Fewer clients than channels starves the surplus channels.
-        clients = (workload.num_clients if workload.num_clients is not None
-                   else self.num_endorsing_peers)
-        if clients < len(channel_names):
-            starved = channel_names[clients:]
-            raise ConfigurationError(
-                f"{clients} client(s) across {len(channel_names)} channels "
-                f"leaves {starved} with zero traffic; raise num_clients to "
-                f">= {len(channel_names)}, or configure an explicit "
-                "per_channel workload mix (rate=0 marks a channel idle on "
-                "purpose)")
+        # The planner raises for channels the load cannot reach.
+        plan_load(self, workload)
+
+    @property
+    def channel_names(self) -> list[str]:
+        """The primary channel's name, then the extra channels'."""
+        return [self.channel.name] + [channel.name
+                                      for channel in self.extra_channels]
 
     @property
     def num_peers(self) -> int:
         return self.num_endorsing_peers + self.num_committing_only_peers
+
+
+def chaincode_for(workload: str) -> str:
+    """The chaincode each workload shape drives."""
+    return "noop" if workload == "unique" else "kvstore"
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class LoadSlice:
+    """One submitting client's share of the offered load.
+
+    A classic client (``client<i>``) staggers its first arrival by
+    ``index / group_size`` of its inter-arrival interval, ``group_size``
+    being the number of clients sharing its rate pool.  A cohort
+    (``cohort<i>``) carries the virtual users
+    ``[user_base, user_base + users)``.
+    """
+
+    name: str
+    channel: str
+    #: This client's arrival rate (tx/s); 0 keeps it idle.
+    rate: float
+    #: Transaction shape: "unique" fresh-key writes or "conflict" RMWs.
+    workload: str
+    chaincode: str
+    tx_size: int
+    key_space: int
+    skew: float
+    index: int = 0
+    group_size: int = 1
+    users: int = 0
+    user_base: int = 0
+
+
+def _channel_shape(workload: WorkloadConfig, mix: ChannelWorkload | None,
+                   kind: str) -> dict[str, typing.Any]:
+    """A channel's transaction shape: its mix, else the workload's."""
+    shape: dict[str, typing.Any] = {
+        "workload": kind, "tx_size": workload.tx_size,
+        "key_space": workload.key_space,
+        "skew": workload.read_write_conflict_skew}
+    if mix is not None:
+        shape["workload"] = mix.workload
+        for field in ("tx_size", "key_space", "skew"):
+            if getattr(mix, field) is not None:
+                shape[field] = getattr(mix, field)
+    shape["chaincode"] = chaincode_for(shape["workload"])
+    return shape
+
+
+def plan_load(topology: TopologyConfig, workload: WorkloadConfig,
+              kind: str = "unique") -> list[LoadSlice]:
+    """Resolve a workload into one load slice per client, in build order.
+
+    This is the one statement of the load rule; the network builds these
+    clients, the workload generator drives them, and the analytic model
+    sums them per channel.  ``kind`` is the transaction shape of channels
+    without a per-channel mix.
+
+    Classic mode (§IV.A, Fig. 1) builds ``num_clients`` clients, by
+    default one per endorsing peer; client *i* is bound to channel *i*
+    mod C.  The aggregate ``arrival_rate`` splits evenly over all
+    clients, or, with per-channel mixes, each channel's rate splits
+    evenly over the clients bound to it.
+
+    Population mode builds ``cohorts_per_channel`` cohorts per channel,
+    channel-major, and splits the users as evenly as possible (remainder
+    to the earliest cohorts).  A cohort's rate is, in priority order,
+    ``users * user_rate``, an even share of its channel's mix rate, or an
+    even share of ``arrival_rate / C``.  A cohort without users is idle.
+
+    The workload is assumed to cover the topology's channels (see
+    :meth:`TopologyConfig.validate`).  Raises
+    :class:`~repro.common.errors.ConfigurationError` for an unknown
+    ``kind``, a round-robin that leaves channels without clients, and a
+    loaded per-channel mix that no client reaches.
+    """
+    if kind not in WORKLOAD_KINDS:
+        raise ConfigurationError(
+            f"unknown workload {kind!r}; expected one of {WORKLOAD_KINDS}")
+    channels = topology.channel_names
+    mixes = workload.per_channel or {}
+    shapes = {name: _channel_shape(workload, mixes.get(name), kind)
+              for name in channels}
+    plan: list[LoadSlice] = []
+    population = workload.population
+    if population is not None:
+        population.validate()
+        per_channel = population.cohorts_per_channel
+        base_users, remainder = divmod(population.num_users,
+                                       per_channel * len(channels))
+        user_base = 0
+        for channel in channels:
+            mix = mixes.get(channel)
+            channel_rate = (mix.rate if mix is not None
+                            else workload.arrival_rate / len(channels))
+            for _ in range(per_channel):
+                index = len(plan)
+                users = base_users + (1 if index < remainder else 0)
+                if users == 0:
+                    rate = 0.0
+                elif population.user_rate is not None:
+                    rate = users * population.user_rate
+                else:
+                    rate = channel_rate / per_channel
+                plan.append(LoadSlice(
+                    f"cohort{index}", channel, rate, users=users,
+                    user_base=user_base, **shapes[channel]))
+                user_base += users
+        return plan
+
+    clients = (workload.num_clients if workload.num_clients is not None
+               else topology.num_endorsing_peers)
+    bound = [channels[index % len(channels)] for index in range(clients)]
+    if workload.per_channel is None:
+        if clients < len(channels):
+            starved = channels[clients:]
+            raise ConfigurationError(
+                f"{clients} client(s) across {len(channels)} channels "
+                f"leaves {starved} with zero traffic; raise num_clients to "
+                f">= {len(channels)}, or configure an explicit "
+                "per_channel workload mix (rate=0 marks a channel idle on "
+                "purpose)")
+        rate = workload.arrival_rate / clients
+        return [LoadSlice(f"client{index}", channel, rate, index=index,
+                          group_size=clients, **shapes[channel])
+                for index, channel in enumerate(bound)]
+    group_sizes = {name: bound.count(name) for name in channels}
+    for channel, mix in mixes.items():
+        if mix.rate > 0 and not group_sizes[channel]:
+            raise ConfigurationError(
+                f"channel {channel!r} has rate {mix.rate:g} tx/s but "
+                "no client is bound to it; raise num_clients so the "
+                "round-robin reaches it (or set its rate to 0)")
+    positions = dict.fromkeys(channels, 0)
+    for index, channel in enumerate(bound):
+        group_size = group_sizes[channel]
+        plan.append(LoadSlice(
+            f"client{index}", channel, mixes[channel].rate / group_size,
+            index=positions[channel], group_size=group_size,
+            **shapes[channel]))
+        positions[channel] += 1
+    return plan

@@ -209,7 +209,18 @@ def get_scenario(name: str) -> FaultScenario:
 
 def run_fault_scenario(name: str, seed: int = 1) -> FaultScenarioResult:
     """Run one fault scenario and analyse its recovery."""
-    return run_digested_scenario(name, seed=seed, keep_records=False)[1]
+    scenario = get_scenario(name)
+    return _run(scenario, seed, scenario.build_network(seed=seed))
+
+
+def _run(scenario: FaultScenario, seed: int,
+         network: FabricNetwork) -> FaultScenarioResult:
+    metrics = network.run_workload().as_dict()
+    injector = network.fault_injector
+    return FaultScenarioResult(
+        scenario=scenario, seed=seed, metrics=metrics,
+        recovery=network.recovery_report(scenario.crash_time),
+        injected=list(injector.injected) if injector else [])
 
 
 def run_digested_scenario(name: str, seed: int = 1,
@@ -219,17 +230,9 @@ def run_digested_scenario(name: str, seed: int = 1,
     scenario = get_scenario(name)
     network = scenario.build_network(seed=seed)
     results: list[FaultScenarioResult] = []
-
-    def drive() -> None:
-        metrics = network.run_workload().as_dict()
-        recovery = network.recovery_report(scenario.crash_time)
-        injector = network.fault_injector
-        results.append(FaultScenarioResult(
-            scenario=scenario, seed=seed, metrics=metrics,
-            recovery=recovery,
-            injected=list(injector.injected) if injector else []))
-
-    digest = digest_run(network.sim, drive, keep_records=keep_records)
+    digest = digest_run(
+        network.sim, lambda: results.append(_run(scenario, seed, network)),
+        keep_records=keep_records)
     return digest, results[0]
 
 

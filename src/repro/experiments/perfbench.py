@@ -76,9 +76,9 @@ class PerfScenario:
     #: Channels in the deployment; >1 switches to the scale-out topology
     #: (committing-only fleet beyond the endorsing core, relay-tree gossip).
     channels: int = 1
-    #: Aggregated client population; >0 drives the run through
-    #: :class:`~repro.client.population.ClientPopulation` cohorts instead
-    #: of per-client workload generators.
+    #: Aggregated client population; >0 loads the run from user cohorts
+    #: (:func:`~repro.common.config.plan_load`) instead of one client per
+    #: endorsing peer.
     population_users: int = 0
 
     def at_scale(self, scale: str) -> "PerfScenario":

@@ -9,8 +9,9 @@ reproduces that style of experiment on the simulator:
   core serves proposals (the rest are committing-only peers) and block
   dissemination runs over the relay-tree gossip
   (:func:`repro.peer.gossip.relay_children`) with bounded per-node fan-out;
-- client load comes from the aggregated population subsystem
-  (:class:`repro.client.population.ClientPopulation`), so a 1,000,000-user
+- client load comes from aggregated user cohorts
+  (:func:`repro.common.config.plan_load`, driven by
+  :class:`repro.client.workload.WorkloadGenerator`), so a 1,000,000-user
   run spawns O(cohorts) kernel processes, not O(users);
 - every point reports per-cohort and per-channel
   :class:`~repro.metrics.collector.PhaseMetrics`, plus bottleneck
@@ -95,7 +96,7 @@ class ScalePoint:
     peers: int
     channels: int
     users: int
-    cohorts: int
+    cohorts: int            # cohorts_per_channel x channels, configured
     clients: int            # client nodes built — must equal ``cohorts``
     rate: float
     duration: float
@@ -159,14 +160,13 @@ def run_scale_point(peers: int = 100, channels: int = 4,
                           f"{top.utilization:.0%} busy)")
     return ScalePoint(
         peers=peers, channels=channels, users=users,
-        cohorts=len(network.population.cohorts),
+        cohorts=cohorts_per_channel * channels,
         clients=len(network.clients),
         rate=rate, duration=duration, seed=seed, wall_s=wall,
         events=network.sim.events_processed, metrics=metrics,
         per_cohort=network.cohort_metrics(),
         per_channel=network.channel_metrics(),
-        cohort_channels={cohort.name: cohort.spec.channel
-                         for cohort in network.population.cohorts},
+        cohort_channels={load.name: load.channel for load in network.plan},
         bottleneck=bottleneck)
 
 

@@ -18,10 +18,9 @@ from repro.chaincode import (
     resolve_policy_spec,
 )
 from repro.chaincode.policy import EndorsementPolicy
-from repro.client.population import ClientPopulation, Cohort, plan_cohorts
 from repro.client.sdk import ClientNode
 from repro.client.workload import WorkloadGenerator
-from repro.common.config import TopologyConfig, WorkloadConfig
+from repro.common.config import TopologyConfig, WorkloadConfig, plan_load
 from repro.common.errors import ConfigurationError
 from repro.faults import FaultInjector, FaultSchedule, compute_recovery
 from repro.msp import MSP, CertificateAuthority, Role
@@ -52,6 +51,8 @@ class FabricNetwork:
         # Cross-validated: the topology alone cannot see client-vs-channel
         # starvation or per-channel mixes naming unknown channels.
         topology.validate(self.workload_config)
+        #: The load plan: one slice per submitting client, in build order.
+        self.plan = plan_load(topology, self.workload_config, workload_kind)
         self.context = NetworkContext.create(
             seed=seed, costs=costs,
             latency=topology.network_latency,
@@ -71,7 +72,7 @@ class FabricNetwork:
         self.msp = MSP([self.ca])
         self.channel_configs = [topology.channel] + list(
             topology.extra_channels)
-        self.channel_names = [cfg.name for cfg in self.channel_configs]
+        self.channel_names = topology.channel_names
         self.channel = topology.channel.name
 
         self.peers: list[PeerNode] = []
@@ -80,12 +81,7 @@ class FabricNetwork:
         self.orderer: OrderingService | None = None
         self.policies: dict[str, EndorsementPolicy] = {}
         self.policy: EndorsementPolicy | None = None
-        self.workload: WorkloadGenerator | ClientPopulation | None = None
-        #: Aggregated client population (set iff ``workload.population``);
-        #: ``self.workload`` aliases it in that mode.
-        self.population: ClientPopulation | None = None
-        self._cohort_specs: list = []
-        self._workload_kind = workload_kind
+        self.workload: WorkloadGenerator | None = None
         self._started = False
 
         self._build()
@@ -113,8 +109,15 @@ class FabricNetwork:
         self._join_peers_to_channels()
         self._build_orderer()
         self._wire_deliver_streams()
-        self._build_clients()
-        self._build_workload()
+        cohorts = self.workload_config.population is not None
+        for index, load in enumerate(self.plan):
+            self.clients.append(self._make_client(
+                load.name, index, load.channel,
+                cohort=load.name if cohorts else ""))
+        self.workload = WorkloadGenerator(self.clients, self.plan,
+                                          self.workload_config)
+        if self.obs is not None:
+            self._attach_observability()
 
     def _build_peers(self) -> None:
         topology = self.topology
@@ -132,15 +135,14 @@ class FabricNetwork:
             self.peers.append(peer)
             if is_endorsing:
                 self.endorsing_peers.append(peer)
-        if self.topology.gossip:
+        if topology.gossip:
+            # Flat gossip (fan-out 0) is the tree whose root, the leader,
+            # forwards to every other peer.
             names = [peer.name for peer in self.peers]
-            if self.topology.gossip_fanout > 0:
-                children = relay_children(names,
-                                          self.topology.gossip_fanout)
-                for peer in self.peers:
-                    peer.gossip.set_children(children[peer.name])
-            else:
-                self.peers[0].gossip.set_neighbours(names)
+            children = relay_children(
+                names, topology.gossip_fanout or max(1, len(names) - 1))
+            for peer in self.peers:
+                peer.gossip.set_children(children[peer.name])
 
     def _join_peers_to_channels(self) -> None:
         for peer in self.peers:
@@ -162,28 +164,6 @@ class FabricNetwork:
             return
         for index, peer in enumerate(self.peers):
             peer.subscribe_to_orderer(self.orderer.osn_for(index).name)
-
-    def _build_clients(self) -> None:
-        workload = self.workload_config
-        if workload.population is not None:
-            self._build_cohort_clients()
-            return
-        count = workload.num_clients or len(self.endorsing_peers)
-        for index in range(count):
-            # Clients spread round-robin across channels (one channel each).
-            channel = self.channel_names[index % len(self.channel_names)]
-            self.clients.append(
-                self._make_client(f"client{index}", index, channel))
-
-    def _build_cohort_clients(self) -> None:
-        """One submitting client per cohort — O(cohorts), not O(users)."""
-        self._cohort_specs = plan_cohorts(
-            self.channel_names, self.workload_config,
-            workload=self._workload_kind)
-        for index, spec in enumerate(self._cohort_specs):
-            self.clients.append(
-                self._make_client(spec.name, index, spec.channel,
-                                  cohort=spec.name))
 
     def _make_client(self, name: str, index: int, channel: str,
                      cohort: str = "") -> ClientNode:
@@ -212,23 +192,6 @@ class FabricNetwork:
         client._or_counter = index
         self.msp.grant_channel_writer(channel, client.name)
         return client
-
-    def _build_workload(self) -> None:
-        if self.workload_config.population is not None:
-            cohorts = [Cohort(spec=spec, client=client)
-                       for spec, client in zip(self._cohort_specs,
-                                               self.clients)]
-            self.population = ClientPopulation(cohorts,
-                                               self.workload_config)
-            self.workload = self.population
-        else:
-            chaincode = ("noop" if self._workload_kind == "unique"
-                         else "kvstore")
-            self.workload = WorkloadGenerator(
-                self.clients, self.workload_config, chaincode=chaincode,
-                workload=self._workload_kind)
-        if self.obs is not None:
-            self._attach_observability()
 
     def _attach_observability(self) -> None:
         """Register every contended resource with the observability layer.
@@ -324,7 +287,7 @@ class FabricNetwork:
         if window is None:
             raise ConfigurationError(
                 "cohort_metrics() needs a completed run_workload() call")
-        if self.population is None:
+        if self.workload_config.population is None:
             raise ConfigurationError(
                 "cohort_metrics() needs workload.population (the "
                 "aggregated client-population mode)")

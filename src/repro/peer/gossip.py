@@ -6,15 +6,16 @@ modes: direct deliver (every peer subscribes to an OSN — the paper's setup,
 where block propagation cost is carried by the orderer links) and gossip
 (only the leader peer subscribes and forwards).
 
-Gossip itself comes in two shapes:
+Gossip runs over one relay tree rooted at the leader: every peer
+forwards each fresh block to its children.
 
-- **flat** (the default, ``gossip_fanout=0``): the leader unicasts every
-  block to every other peer.  Faithful to small deployments, but at 100+
-  peers it serialises P-1 copies of each block through the leader's NIC;
-- **relay tree** (``gossip_fanout=N``): peers form an N-ary tree rooted at
-  the leader and every peer forwards each fresh block to at most N
-  children, so dissemination is O(log_N P) hops with per-node egress
-  bounded by N — the sane fan-out for scale-out topologies.
+- **flat** (the default, ``gossip_fanout=0``) is the tree of fan-out P-1:
+  the leader unicasts every block to every other peer.  Faithful to small
+  deployments, but at 100+ peers it serialises P-1 copies of each block
+  through the leader's NIC;
+- **relay tree** (``gossip_fanout=N``): an N-ary tree, so dissemination
+  is O(log_N P) hops with per-node egress bounded by N — the sane fan-out
+  for scale-out topologies.
 """
 
 from __future__ import annotations
@@ -44,43 +45,31 @@ def relay_children(names: list[str], fanout: int) -> dict[str, list[str]]:
 
 
 class GossipService:
-    """Forwards received blocks to peer neighbours (leader-peer mode)."""
+    """Forwards received blocks down the relay tree (leader-peer mode)."""
 
     def __init__(self, peer: "PeerNode", is_leader: bool = False) -> None:
         self._peer = peer
         self.is_leader = is_leader
-        self.neighbours: list[str] = []
-        #: Relay-tree children; non-empty switches this peer to tree mode
-        #: (forward each fresh block to the children, whether it arrived
-        #: from the orderer or from the parent peer).
+        #: Relay-tree children: each fresh block goes to them, whether it
+        #: arrived from the orderer (the leader) or from the parent peer.
         self.children: list[str] = []
         self.blocks_forwarded = 0
-
-    def set_neighbours(self, names: list[str]) -> None:
-        self.neighbours = [name for name in names if name != self._peer.name]
 
     def set_children(self, names: list[str]) -> None:
         self.children = [name for name in names if name != self._peer.name]
 
     def on_block(self, block: Block, from_orderer: bool) -> None:
         """Forward a block onward if this peer carries dissemination duty."""
-        if self.children:
-            # Relay tree: the leader injects orderer blocks, every relay
-            # (including the leader) forwards to its children exactly once
-            # — the tree has no cycles, so one receipt means one forward.
-            if from_orderer and not self.is_leader:
-                return
-            self._forward(block, self.children)
-        elif self.is_leader and from_orderer:
-            self._forward(block, self.neighbours)
-
-    def _forward(self, block: Block, targets: list[str]) -> None:
-        for target in targets:
+        # The leader injects orderer blocks, every relay (including the
+        # leader) forwards to its children exactly once — the tree has no
+        # cycles, so one receipt means one forward.
+        children = self.children
+        if not children or (from_orderer and not self.is_leader):
+            return
+        for target in children:
             self._peer.send(target, "gossip_block", block,
                             size=block.wire_size())
-        self.blocks_forwarded += len(targets)
-        if targets:
-            self._peer.tracer.instant(
-                "gossip.forward", category="gossip",
-                node=self._peer.name, block=block.number,
-                fanout=len(targets))
+        self.blocks_forwarded += len(children)
+        self._peer.tracer.instant(
+            "gossip.forward", category="gossip", node=self._peer.name,
+            block=block.number, fanout=len(children))

@@ -216,9 +216,9 @@ class PeerNode(NodeBase):
 
     def _handle_gossip_block(self, message):
         block: Block = message.payload
-        # Relay-tree mode forwards gossiped blocks onward to this peer's
-        # children; flat mode makes this a no-op (only the leader forwards,
-        # and only blocks fresh from the orderer).
+        # Relay peers forward gossiped blocks onward to their children;
+        # a leaf of the tree (every peer but the leader in flat gossip)
+        # has none.
         self.gossip.on_block(block, from_orderer=False)
         self._accept_block(block)
         return

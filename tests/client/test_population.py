@@ -1,4 +1,4 @@
-"""Tests for the aggregated client-population subsystem.
+"""Tests for aggregated client populations.
 
 The contract under test: a million-user population costs O(cohorts)
 kernel processes and client nodes, generates superposed-Poisson traffic
@@ -8,7 +8,7 @@ channel, and stays bit-for-bit reproducible for a fixed seed.
 
 import pytest
 
-from repro.client.population import ClientPopulation, plan_cohorts
+from repro.analysis import PhaseModel
 from repro.common.config import (
     ChannelConfig,
     ChannelWorkload,
@@ -16,22 +16,26 @@ from repro.common.config import (
     PopulationConfig,
     TopologyConfig,
     WorkloadConfig,
+    plan_load,
 )
-from repro.common.errors import ConfigurationError
 from repro.fabric.network import FabricNetwork
 from repro.sim.sanitizer import digest_run
+
+
+def topology_with(channels=1, peers=2):
+    extra = [ChannelConfig(name=f"ch{i}", endorsement_policy="OR(1..n)")
+             for i in range(2, channels + 1)]
+    return TopologyConfig(
+        num_endorsing_peers=peers,
+        channel=ChannelConfig(name="ch1", endorsement_policy="OR(1..n)"),
+        extra_channels=extra,
+        orderer=OrdererConfig(kind="solo"))
 
 
 def build(num_users=1000, cohorts_per_channel=2, rate=60, duration=6,
           channels=1, peers=2, seed=7, kind="unique", per_channel=None,
           user_rate=None, skew=0.0, key_space=50):
-    extra = [ChannelConfig(name=f"ch{i}", endorsement_policy="OR(1..n)")
-             for i in range(2, channels + 1)]
-    topology = TopologyConfig(
-        num_endorsing_peers=peers,
-        channel=ChannelConfig(name="ch1", endorsement_policy="OR(1..n)"),
-        extra_channels=extra,
-        orderer=OrdererConfig(kind="solo"))
+    topology = topology_with(channels, peers)
     workload = WorkloadConfig(
         arrival_rate=rate, duration=duration, warmup=1, cooldown=1,
         per_channel=per_channel, key_space=key_space,
@@ -50,7 +54,7 @@ def test_plan_partitions_users_evenly_with_remainder_first():
     config = WorkloadConfig(
         arrival_rate=30,
         population=PopulationConfig(num_users=10, cohorts_per_channel=3))
-    specs = plan_cohorts(["ch1"], config)
+    specs = plan_load(topology_with(), config)
     assert [spec.users for spec in specs] == [4, 3, 3]
     assert [spec.user_base for spec in specs] == [0, 4, 7]
     assert [spec.name for spec in specs] == ["cohort0", "cohort1",
@@ -63,7 +67,7 @@ def test_plan_is_channel_major_and_covers_all_channels():
     config = WorkloadConfig(
         arrival_rate=40,
         population=PopulationConfig(num_users=8, cohorts_per_channel=2))
-    specs = plan_cohorts(["ch1", "ch2"], config)
+    specs = plan_load(topology_with(channels=2), config)
     assert [spec.channel for spec in specs] == ["ch1", "ch1", "ch2", "ch2"]
     assert sum(spec.users for spec in specs) == 8
     # arrival_rate splits across channels first, then cohorts.
@@ -74,7 +78,7 @@ def test_plan_user_rate_scales_with_slice_size():
     config = WorkloadConfig(
         population=PopulationConfig(num_users=10, cohorts_per_channel=3,
                                     user_rate=2.0))
-    specs = plan_cohorts(["ch1"], config)
+    specs = plan_load(topology_with(), config)
     assert [spec.rate for spec in specs] == pytest.approx([8.0, 6.0, 6.0])
 
 
@@ -87,7 +91,7 @@ def test_plan_per_channel_mix_overrides_rate_and_shape():
                                    key_space=7, skew=1.5),
             "ch2": ChannelWorkload(rate=0),
         })
-    specs = plan_cohorts(["ch1", "ch2"], config)
+    specs = plan_load(topology_with(channels=2), config)
     ch1 = [spec for spec in specs if spec.channel == "ch1"]
     ch2 = [spec for spec in specs if spec.channel == "ch2"]
     assert [spec.rate for spec in ch1] == pytest.approx([40, 40])
@@ -96,9 +100,20 @@ def test_plan_per_channel_mix_overrides_rate_and_shape():
     assert all(spec.rate == 0 for spec in ch2)  # deliberately idle
 
 
-def test_plan_requires_population_config():
-    with pytest.raises(ConfigurationError):
-        plan_cohorts(["ch1"], WorkloadConfig())
+def test_cohorts_without_users_are_idle_in_the_plan_and_the_model():
+    # Two users over 2 channels x 2 cohorts: ch2's cohorts carry nobody,
+    # so the simulator offers all its load on ch1 and so must the model.
+    topology = topology_with(channels=2)
+    workload = WorkloadConfig(
+        arrival_rate=80,
+        population=PopulationConfig(num_users=2, cohorts_per_channel=2))
+    plan = plan_load(topology, workload)
+    assert [(load.channel, load.users, load.rate) for load in plan] == [
+        ("ch1", 1, 20.0), ("ch1", 1, 20.0), ("ch2", 0, 0.0),
+        ("ch2", 0, 0.0)]
+    prediction = PhaseModel(topology, workload).predict()
+    assert prediction.offered == pytest.approx(40.0)
+    assert [channel.rate for channel in prediction.channels] == [40.0, 0.0]
 
 
 # ----------------------------------------------------------------------
@@ -110,8 +125,7 @@ def test_million_users_spawn_cohort_many_clients():
                     channels=2, rate=40, duration=4)
     # 2 channels x 2 cohorts = 4 clients, regardless of the million users.
     assert len(network.clients) == 4
-    assert network.population is not None
-    assert network.population.num_users == 1_000_000
+    assert sum(load.users for load in network.plan) == 1_000_000
     metrics = network.run_workload()
     assert metrics.overall_throughput > 0
 
@@ -171,9 +185,8 @@ def test_idle_channel_cohorts_spawn_no_arrivals():
         per_channel={"ch1": ChannelWorkload(rate=40),
                      "ch2": ChannelWorkload(rate=0)})
     network.run_workload()
-    idle = [cohort for cohort in network.population.cohorts
-            if cohort.spec.channel == "ch2"]
-    assert all(cohort.transactions_started == 0 for cohort in idle)
+    idle = [client for client in network.clients if client.channel == "ch2"]
+    assert idle and all(client.submitted == 0 for client in idle)
     assert network.workload.transactions_started > 0
 
 
@@ -185,20 +198,6 @@ def test_conflict_user_skew_becomes_key_contention():
     uniform_metrics = uniform.run_workload()
     skewed_metrics = skewed.run_workload()
     assert skewed_metrics.invalid_rate > uniform_metrics.invalid_rate
-
-
-def test_cohort_named_lookup():
-    network = build(num_users=100, cohorts_per_channel=2)
-    assert network.population.cohort_named("cohort1").spec.users == 50
-    with pytest.raises(ConfigurationError):
-        network.population.cohort_named("cohort9")
-
-
-def test_population_requires_cohorts():
-    config = WorkloadConfig(
-        population=PopulationConfig(num_users=10))
-    with pytest.raises(ConfigurationError):
-        ClientPopulation([], config)
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.analysis import PhaseModel, resolve_demands
 from repro.common.config import (
     ChannelConfig,
+    ChannelWorkload,
     OrdererConfig,
     TopologyConfig,
     WorkloadConfig,
+    plan_load,
 )
 from repro.common.errors import ConfigurationError
 from repro.client.workload import WorkloadGenerator
@@ -77,14 +80,19 @@ def test_poisson_arrivals_run():
 
 def test_workload_requires_clients():
     with pytest.raises(ConfigurationError):
-        WorkloadGenerator([], WorkloadConfig())
+        WorkloadGenerator([], [], WorkloadConfig())
+    network = build()
+    with pytest.raises(ConfigurationError):  # one client per slice
+        WorkloadGenerator(network.clients, network.plan[:1],
+                          network.workload_config)
 
 
 def test_workload_rejects_unknown_kind():
-    network = build()
+    with pytest.raises(ConfigurationError) as excinfo:
+        build(kind="chaos")
+    assert "chaos" in str(excinfo.value)
     with pytest.raises(ConfigurationError):
-        WorkloadGenerator(network.clients, WorkloadConfig(),
-                          workload="chaos")
+        plan_load(TopologyConfig(), WorkloadConfig(), "chaos")
 
 
 def test_deterministic_given_seed():
@@ -138,8 +146,6 @@ def build_two_channels(per_channel, num_clients=4, duration=6, seed=13):
 
 
 def test_per_channel_rates_are_independent():
-    from repro.common.config import ChannelWorkload
-
     network = build_two_channels({
         "hot": ChannelWorkload(rate=60),
         "cold": ChannelWorkload(rate=10),
@@ -153,8 +159,6 @@ def test_per_channel_rates_are_independent():
 
 
 def test_per_channel_idle_channel_stays_quiet():
-    from repro.common.config import ChannelWorkload
-
     network = build_two_channels({
         "hot": ChannelWorkload(rate=40),
         "cold": ChannelWorkload(rate=0),
@@ -166,8 +170,6 @@ def test_per_channel_idle_channel_stays_quiet():
 
 
 def test_per_channel_mix_can_differ_in_shape():
-    from repro.common.config import ChannelWorkload
-
     network = build_two_channels({
         "hot": ChannelWorkload(rate=50, workload="conflict", key_space=5),
         "cold": ChannelWorkload(rate=50, workload="unique"),
@@ -179,10 +181,9 @@ def test_per_channel_mix_can_differ_in_shape():
 
 
 def test_loaded_channel_without_clients_is_rejected():
-    from repro.common.config import ChannelWorkload
-
     # Two clients round-robin onto two channels; a third channel with a
-    # positive rate has nobody to drive it.
+    # positive rate has nobody to drive it.  Validation, the network and
+    # the model all refuse it before anything runs.
     topology = TopologyConfig(
         num_endorsing_peers=2,
         channel=ChannelConfig(name="a", endorsement_policy="OR(1..n)"),
@@ -190,14 +191,23 @@ def test_loaded_channel_without_clients_is_rejected():
             ChannelConfig(name="b", endorsement_policy="OR(1..n)"),
             ChannelConfig(name="c", endorsement_policy="OR(1..n)")],
         orderer=OrdererConfig(kind="solo"))
-    workload = WorkloadConfig(arrival_rate=0, num_clients=3,
+    workload = WorkloadConfig(arrival_rate=0, num_clients=2,
                               per_channel={
                                   "a": ChannelWorkload(rate=10),
                                   "b": ChannelWorkload(rate=10),
                                   "c": ChannelWorkload(rate=10)})
+    for entry in (lambda: topology.validate(workload),
+                  lambda: FabricNetwork(topology, workload, seed=1),
+                  lambda: PhaseModel(topology, workload)):
+        with pytest.raises(ConfigurationError) as excinfo:
+            entry()
+        assert "channel 'c' has rate 10 tx/s but no client" in str(
+            excinfo.value)
+    # An idle channel beyond the round-robin is fine, and the model
+    # keeps its mix's shape.
+    workload.per_channel["c"] = ChannelWorkload(rate=0, workload="conflict")
     network = FabricNetwork(topology, workload, seed=1)
-    # Strand channel c by retargeting its client, then ask for plans.
-    network.clients[2].channel = "a"
-    with pytest.raises(ConfigurationError) as excinfo:
-        network.workload.start()
-    assert "'c'" in str(excinfo.value)
+    assert [client.channel for client in network.clients] == ["a", "b"]
+    idle = resolve_demands(topology, workload)[2]
+    assert (idle.channel, idle.rate, idle.clients, idle.workload) == (
+        "c", 0.0, 0, "conflict")

@@ -1,13 +1,28 @@
-"""Tests for leader-peer gossip block dissemination."""
+"""Tests for leader-peer gossip block dissemination.
 
+Flat gossip is the relay tree of fan-out P-1: the leader's children are
+every other peer, and no other peer has children.
+"""
+
+from repro.peer.gossip import relay_children
 from tests.peer.helpers import PeerRig, make_signed_block, write_rwset
+
+
+def flat_tree(rig):
+    """Wire ``rig`` for flat gossip rooted at peer0."""
+    names = [peer.name for peer in rig.peers]
+    children = relay_children(names, len(names) - 1)
+    for peer in rig.peers:
+        peer.gossip.set_children(children[peer.name])
+    return children
 
 
 def test_leader_forwards_orderer_blocks_to_neighbours():
     rig = PeerRig(num_peers=3)
     leader = rig.peers[0]
     leader.gossip.is_leader = True
-    leader.gossip.set_neighbours([peer.name for peer in rig.peers])
+    assert flat_tree(rig) == {"peer0": ["peer1", "peer2"], "peer1": [],
+                              "peer2": []}
     envelope = rig.make_envelope("t1", write_rwset("k"), [rig.peers[0]])
     block = make_signed_block(rig, leader, [envelope])
     # Deliver as if from the orderer.
@@ -27,7 +42,8 @@ def test_leader_forwards_orderer_blocks_to_neighbours():
 def test_non_leader_does_not_forward():
     rig = PeerRig(num_peers=2)
     follower = rig.peers[1]
-    follower.gossip.set_neighbours([peer.name for peer in rig.peers])
+    # A non-leader with children still ignores orderer deliveries.
+    follower.gossip.set_children([peer.name for peer in rig.peers])
     envelope = rig.make_envelope("t1", write_rwset("k"), [rig.peers[0]])
     block = make_signed_block(rig, follower, [envelope])
     from repro.sim.network import Message
@@ -42,12 +58,11 @@ def test_non_leader_does_not_forward():
 
 
 def test_gossiped_blocks_not_reforwarded():
-    # Gossip forwarding happens only for orderer-delivered blocks, so a
-    # gossip loop cannot form even with symmetric neighbour sets.
+    # In flat gossip only the leader has children, so a peer that
+    # receives a gossiped block keeps it.
     rig = PeerRig(num_peers=2)
-    for peer in rig.peers:
-        peer.gossip.is_leader = True
-        peer.gossip.set_neighbours([p.name for p in rig.peers])
+    rig.peers[0].gossip.is_leader = True
+    flat_tree(rig)
     envelope = rig.make_envelope("t1", write_rwset("k"), [rig.peers[0]])
     block = make_signed_block(rig, rig.peers[0], [envelope])
     from repro.sim.network import Message
@@ -62,11 +77,11 @@ def test_gossiped_blocks_not_reforwarded():
     assert rig.peers[1].ledger.height == 2
 
 
-def test_set_neighbours_excludes_self():
+def test_set_children_excludes_self():
     rig = PeerRig(num_peers=2)
     peer = rig.peers[0]
-    peer.gossip.set_neighbours(["peer0", "peer1"])
-    assert peer.gossip.neighbours == ["peer1"]
+    peer.gossip.set_children(["peer0", "peer1"])
+    assert peer.gossip.children == ["peer1"]
 
 
 # ----------------------------------------------------------------------
@@ -75,8 +90,6 @@ def test_set_neighbours_excludes_self():
 
 def test_relay_children_implicit_heap_layout():
     import pytest
-
-    from repro.peer.gossip import relay_children
 
     names = [f"p{i}" for i in range(7)]
     children = relay_children(names, fanout=2)
@@ -89,7 +102,6 @@ def test_relay_children_implicit_heap_layout():
 
 
 def test_relay_tree_reaches_every_peer_with_bounded_fanout():
-    from repro.peer.gossip import relay_children
     from repro.sim.network import Message
 
     fanout = 2
@@ -119,7 +131,6 @@ def test_relay_tree_reaches_every_peer_with_bounded_fanout():
 def test_relay_follower_ignores_direct_orderer_blocks():
     # In tree mode only the leader injects orderer deliveries; a stray
     # orderer send to a mid-tree relay must not double-disseminate.
-    from repro.peer.gossip import relay_children
     from repro.sim.network import Message
 
     rig = PeerRig(num_peers=3)
