@@ -18,6 +18,7 @@ from repro.common.crypto import Signature, sha256_hex
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ledger.ledger import CommitPlan
+    from repro.statedb.snapshot import Snapshot
 
 # A state version is the (block number, tx number) that last wrote a key —
 # Fabric calls this the key's "height".
@@ -211,6 +212,11 @@ class Block:
     #: The ledger's commit plan, built by the first peer to commit this
     #: block and reused by every peer with the same validation flags.
     commit_plan: "CommitPlan | None" = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
+    #: The state snapshot at the height this block's commit reached,
+    #: built by the first peer to take it and adopted by every peer whose
+    #: state equals it.
+    snapshot: "Snapshot | None" = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

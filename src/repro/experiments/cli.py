@@ -369,7 +369,7 @@ def _run_perfbench(args) -> int:
         report = run_perfbench(
             names, seed=args.seed, scale=scale,
             check_golden=args.check_golden, update_golden=args.update_golden,
-            jobs=args.jobs, repeats=args.repeats)
+            jobs=args.jobs, repeats=args.repeats, owners=args.owners)
     except FarmError as error:
         print(f"perfbench: scenario {error.label!r} failed in a worker:\n"
               f"{error.detail}", file=sys.stderr)
@@ -618,6 +618,11 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
                                  "fastest wall clock (best-of-N; default 1). "
                                  "The schedule and digest are identical "
                                  "across repeats — only host noise varies")
+    perf_group.add_argument("--owners", action="store_true",
+                            help="run each scenario once more, untimed, "
+                                 "and print its share of pops, share of "
+                                 "host time and us per pop by (event type, "
+                                 "owner process)")
     scale_group = parser.add_argument_group(
         "scale options",
         "only used with the 'scale' experiment; --seed, --smoke, and "

@@ -33,6 +33,7 @@ CLI::
     repro perfbench --check-golden        # fail on any digest divergence
     repro perfbench --out BENCH_PR10.json # write the benchmark trajectory
     repro perfbench --repeats 3           # best-of-3 timing (recording runs)
+    repro perfbench --owners              # host time by pop owner, too
 """
 
 from __future__ import annotations
@@ -53,7 +54,11 @@ from repro.experiments.runner import (
     make_workload,
 )
 from repro.fabric.network import FabricNetwork
-from repro.sim.sanitizer import TraceDigest
+from repro.sim.sanitizer import TraceDigest, event_owner
+
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.metrics.collector import PhaseMetrics
+    from repro.sim.events import Event
 
 #: Seed used for every golden digest; changing it invalidates the goldens.
 GOLDEN_SEED = 1
@@ -160,6 +165,8 @@ class PerfResult:
     golden_ok: bool | None = None
     #: The committed golden digest, when a check ran and one existed.
     golden_expected: str | None = None
+    #: Host time by pop owner, when asked for (``--owners``).
+    owners: "PopOwnerCensus | None" = None
 
     def bench_entry(self) -> dict[str, typing.Any]:
         """The ``BENCH_PR10.json`` row for this run."""
@@ -262,6 +269,90 @@ def digest_scenario(name: str, seed: int = GOLDEN_SEED,
     return digest.hexdigest
 
 
+#: Keys a census report lists before summing the rest.
+CENSUS_ROWS = 12
+
+
+class PopOwnerCensus:
+    """Host time by pop owner: a read-only :meth:`Simulation.set_trace`
+    hook.
+
+    Each pop is keyed by its event type and its owner, named by the trace
+    digest's rule (:func:`~repro.sim.sanitizer.event_owner`).  The host
+    time between two consecutive pops is charged to the first one's key,
+    so a key's time covers its callbacks, the kernel's work up to the
+    next pop and the hook's own cost.  The hook reads the event and the
+    clock only, so the run pops exactly the events of an unhooked run.
+    """
+
+    def __init__(self) -> None:
+        self.pops: dict[tuple[str, str], int] = {}
+        self.seconds: dict[tuple[str, str], float] = {}
+        self._last: tuple[str, str] | None = None
+        self._since = 0.0
+
+    def record(self, when: float, seq: int, event: "Event") -> None:
+        now = time.perf_counter()  # simlint: disable=SL002
+        self._charge(now)
+        key = (type(event).__name__, event_owner(event))
+        self.pops[key] = self.pops.get(key, 0) + 1
+        self._last = key
+        self._since = now
+
+    def stop(self) -> None:
+        """Charge the last pop's interval (call when the run returns)."""
+        self._charge(time.perf_counter())  # simlint: disable=SL002
+        self._last = None
+
+    def _charge(self, now: float) -> None:
+        last = self._last
+        if last is not None:
+            self.seconds[last] = (self.seconds.get(last, 0.0)
+                                  + now - self._since)
+
+    def render(self) -> str:
+        """The :data:`CENSUS_ROWS` costliest keys by host time, then the
+        rest."""
+        total_pops = sum(self.pops.values())
+        total_s = sum(self.seconds.values())
+        ranked = sorted(self.pops,
+                        key=lambda key: (-self.seconds.get(key, 0.0), key))
+        shown = [(*key, self.pops[key], self.seconds.get(key, 0.0))
+                 for key in ranked[:CENSUS_ROWS]]
+        rest = ranked[CENSUS_ROWS:]
+        if rest:
+            shown.append(("", "everything else",
+                          sum(self.pops[key] for key in rest),
+                          sum(self.seconds.get(key, 0.0) for key in rest)))
+        width = max([len("owner")] + [len(row[1]) for row in shown])
+        lines = [f"{total_pops:,} pops, {total_s:.2f} host s "
+                 f"(hook included)",
+                 f"{'event':<10}  {'owner':<{width}}  {'pops':>6}  "
+                 f"{'host':>6}  {'us/pop':>7}"]
+        for event_type, owner, pops, seconds in shown:
+            lines.append(
+                f"{event_type:<10}  {owner:<{width}}  "
+                f"{pops / total_pops:>6.1%}  "
+                f"{seconds / total_s if total_s else 0.0:>6.1%}  "
+                f"{1e6 * seconds / pops:>7.1f}")
+        return "\n".join(lines)
+
+
+def census_scenario(name: str, seed: int = GOLDEN_SEED, scale: str = "full",
+                    ) -> "tuple[PopOwnerCensus, PhaseMetrics]":
+    """One untimed scenario run under a :class:`PopOwnerCensus`; returns
+    the census and the run's metrics."""
+    network = _build_network(SCENARIOS[name].at_scale(scale), seed)
+    census = PopOwnerCensus()
+    network.sim.set_trace(census)
+    try:
+        metrics = network.run_workload()
+    finally:
+        network.sim.set_trace(None)
+    census.stop()
+    return census, metrics
+
+
 # ----------------------------------------------------------------------
 # Golden digests
 # ----------------------------------------------------------------------
@@ -345,6 +436,10 @@ class PerfBenchReport:
                 f"{result.scenario:<{width}}  {result.wall_s:>8.2f}  "
                 f"{result.sim_tps:>8.1f}  {result.events_per_s:>10.0f}  "
                 f"{verdict}")
+        for result in self.results:
+            if result.owners is not None:
+                lines.append(f"\npop owners of {result.scenario}: "
+                             + result.owners.render())
         return "\n".join(lines)
 
 
@@ -354,11 +449,18 @@ def _scenario_worker(task: tuple[str, int, str, int]) -> PerfResult:
     return run_scenario(name, seed=seed, scale=scale, repeats=repeats)
 
 
+def _census_worker(task: tuple[str, int, str]) -> PopOwnerCensus:
+    """Farm worker: one scenario's pop-owner census."""
+    name, seed, scale = task
+    return census_scenario(name, seed=seed, scale=scale)[0]
+
+
 def run_perfbench(names: typing.Sequence[str] | None = None,
                   seed: int = GOLDEN_SEED, scale: str = "full",
                   check_golden: bool = False,
                   update_golden: bool = False,
-                  jobs: int = 1, repeats: int = 1) -> PerfBenchReport:
+                  jobs: int = 1, repeats: int = 1,
+                  owners: bool = False) -> PerfBenchReport:
     """Run ``names`` (default: every scenario) at ``scale``.
 
     With ``check_golden``, each result is compared against the committed
@@ -368,7 +470,8 @@ def run_perfbench(names: typing.Sequence[str] | None = None,
     farms scenarios across processes (:mod:`repro.experiments.farm`);
     digests, metrics, and report order are identical either way.
     ``repeats`` is the best-of-N count per scenario (see
-    :func:`run_scenario`).
+    :func:`run_scenario`).  ``owners`` runs each scenario once more,
+    untimed, under a :class:`PopOwnerCensus` (:func:`census_scenario`).
     """
     if names is None:
         names = list(SCENARIOS)
@@ -379,6 +482,12 @@ def run_perfbench(names: typing.Sequence[str] | None = None,
     results = run_farm(_scenario_worker,
                        [(name, seed, scale, repeats) for name in names],
                        jobs=jobs, labels=list(names))
+    if owners:
+        censuses = run_farm(_census_worker,
+                            [(name, seed, scale) for name in names],
+                            jobs=jobs, labels=list(names))
+        for result, census in zip(results, censuses):
+            result.owners = census
     if update_golden:
         goldens = load_goldens()
         for result in results:

@@ -130,8 +130,16 @@ class Ledger:
         self.state.commit_batch(plan.writes)
 
     def take_snapshot(self) -> Snapshot:
-        """Snapshot the current state at the current height."""
-        snap = self.state.take_snapshot(self.height)
+        """Snapshot the current state at the current height.
+
+        The snapshot is cached on the last committed block
+        (:attr:`Block.snapshot`), so every peer whose state equals it at
+        this height adopts it instead of hashing the state again.  A peer
+        with another state builds its own, which replaces the cached one.
+        """
+        block = self.blocks.last_block
+        snap = block.snapshot = self.state.take_snapshot(
+            self.height, block.snapshot)
         self.snapshots.append(snap)
         return snap
 

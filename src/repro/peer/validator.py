@@ -231,11 +231,11 @@ class BlockValidator:
                 #    yield-free accrual section (see StateBackend docs).
                 if backend.bulk:
                     backend.bulk_get(
-                        key
+                        read.key
                         for envelope, flag in zip(block.transactions,
                                                   vscc_flags)
                         if flag is ValidationCode.VALID
-                        for key in envelope.rwset.read_keys)
+                        for read in envelope.rwset.reads)
                     read_cost += backend.drain_cost()
                 with tracer.span("validate.mvcc", category="validate",
                                  node=peer.name):

@@ -33,10 +33,16 @@ from repro.sim.events import (
 )
 from repro.sim.scheduler import CalendarQueue
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.sanitizer import TraceDigest
-
 ProcessGenerator = typing.Generator[Event, typing.Any, typing.Any]
+
+
+class PopHook(typing.Protocol):
+    """What :meth:`Simulation.set_trace` installs, e.g. a
+    :class:`~repro.sim.sanitizer.TraceDigest`: called once per pop."""
+
+    def record(self, when: float, seq: int, event: Event) -> None:
+        ...
+
 
 #: Young-generation threshold of the cyclic garbage collector while
 #: :meth:`Simulation.run` loops (CPython's default is 700).  A block's
@@ -81,10 +87,10 @@ class Simulation:
         #: Total events popped over this simulation's lifetime (perf
         #: instrumentation: events/s is the kernel's native throughput).
         self.events_processed: int = 0
-        #: Determinism sanitizer hook; when set, every popped event is fed
-        #: into its running digest.  ``None`` (the default) costs one
-        #: ``is`` test per pop.
-        self._trace: "TraceDigest | None" = None
+        #: Pop hook (the determinism sanitizer's digest, the perfbench
+        #: owner census); when set, every popped event is fed to it.
+        #: ``None`` (the default) costs one ``is`` test per pop.
+        self._trace: PopHook | None = None
         # The two tiers are pushed to inline at every push site
         # (events.py, resources.py, and this module): a method call per
         # push would be measurable.  Due-now entries go to the FIFO ring,
@@ -162,7 +168,7 @@ class Simulation:
         self._fifo.append((self._now, self._seq, event))
         self._seq += 1
 
-    def set_trace(self, trace: "TraceDigest | None") -> None:
+    def set_trace(self, trace: PopHook | None) -> None:
         """Install (or remove) the pop hook: ``trace.record(time, seq,
         event)`` runs for every popped entry, before its callbacks."""
         self._trace = trace

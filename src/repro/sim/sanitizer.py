@@ -57,6 +57,33 @@ class TieRecord(typing.NamedTuple):
     second_owner: str
 
 
+def event_owner(event: "Event") -> str:
+    """The label of the process(es) a popped event belongs to or resumes.
+
+    A Process completion is labelled by its own generator name, any other
+    event by the names of the processes its callbacks resume, else "-".
+    A completion pop so shares its label with the resumes that drove it,
+    and the tie auditor only counts ties between distinct processes.  No
+    memory addresses: labels must match across runs.
+    """
+    if isinstance(event, Process):
+        return event.name
+    callbacks = event.callbacks
+    if not callbacks:
+        return "-"
+    names: list[str] | None = None
+    for callback in callbacks:
+        target = getattr(callback, "__self__", None)
+        if isinstance(target, Process):
+            if names is None:
+                names = [target.name]
+            else:
+                names.append(target.name)
+    if names is None:
+        return "-"
+    return names[0] if len(names) == 1 else ",".join(names)
+
+
 class TraceDigest:
     """Streaming SHA-256 over the event schedule, plus a tie audit.
 
@@ -99,29 +126,7 @@ class TraceDigest:
     # ------------------------------------------------------------------
 
     def record(self, when: float, seq: int, event: "Event") -> None:
-        # The owner labels the process(es) an event belongs to or resumes:
-        # a Process completion by its own generator name, any other event
-        # by the names of the processes its callbacks resume, else "-".  A
-        # completion pop so shares its label with the resumes that drove
-        # it, and the tie auditor only counts ties between distinct
-        # processes.  No memory addresses: labels must match across runs.
-        # Inline because it runs once per pop, ~10^6 times a reference run.
-        if isinstance(event, Process):
-            owner = event.name
-        else:
-            owner = "-"
-            callbacks = event.callbacks
-            if callbacks:
-                names: list[str] | None = None
-                for callback in callbacks:
-                    target = getattr(callback, "__self__", None)
-                    if isinstance(target, Process):
-                        if names is None:
-                            names = [target.name]
-                        else:
-                            names.append(target.name)
-                if names is not None:
-                    owner = names[0] if len(names) == 1 else ",".join(names)
+        owner = event_owner(event)
         event_type = type(event).__name__
         # float.hex() is exact: two times digest equal iff bit-identical.
         self._hash.update(

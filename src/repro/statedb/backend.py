@@ -169,7 +169,9 @@ class StateBackend:
         so the subsequent per-key :meth:`get_version` calls of the MVCC scan
         are free.  Only keys not already locally known are fetched.
         """
-        missing: list[str] = []
+        # A dict, not a set: first-seen order is the order the keys
+        # enter the prefetch buffer and the cache's LRU.
+        missing: dict[str, None] = {}
         for key in keys:
             if key in self._prefetched or key in missing:
                 continue
@@ -177,7 +179,7 @@ class StateBackend:
                 self.stats.cache_hits += 1
                 self._prefetched[key] = self.cache.lookup(key)
                 continue
-            missing.append(key)
+            missing[key] = None
         if not missing:
             return
         self.stats.bulk_read_batches += 1
@@ -247,9 +249,17 @@ class StateBackend:
     # Snapshots / catch-up
     # ------------------------------------------------------------------
 
-    def take_snapshot(self, height: int) -> snapshot_mod.Snapshot:
-        """Serialize the current state as a snapshot at ``height``."""
-        snap = snapshot_mod.take(self._store, height)
+    def take_snapshot(self, height: int,
+                      shared: snapshot_mod.Snapshot | None = None,
+                      ) -> snapshot_mod.Snapshot:
+        """Serialize the current state as a snapshot at ``height``.
+
+        ``shared`` is another peer's snapshot at this height, returned
+        instead of a new one when the states are equal
+        (:func:`~repro.statedb.snapshot.take`).  Either way this backend
+        counts and charges the snapshot's I/O itself.
+        """
+        snap = snapshot_mod.take(self._store, height, shared)
         self.stats.snapshots_taken += 1
         self.stats.snapshot_bytes += snap.manifest.byte_size
         self._pending_cost += (snap.manifest.byte_size

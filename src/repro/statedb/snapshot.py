@@ -39,7 +39,9 @@ class Snapshot:
     """A manifest plus the frozen state entries, in key order.
 
     The entries hold the world state's stored ``(value, version)``
-    tuples, which the cyclic garbage collector stops tracking.
+    tuples, which the cyclic garbage collector stops tracking.  Peers
+    whose states are equal at a height share one snapshot (see
+    :func:`take`).
     """
 
     manifest: SnapshotManifest
@@ -53,9 +55,19 @@ def state_hash(entries: tuple[Entry, ...]) -> str:
     return sha256_hex("|".join(parts).encode("utf-8"))
 
 
-def take(state: WorldState, height: int) -> Snapshot:
-    """Snapshot ``state`` as of ``height`` committed blocks."""
+def take(state: WorldState, height: int,
+         shared: Snapshot | None = None) -> Snapshot:
+    """Snapshot ``state`` as of ``height`` committed blocks.
+
+    Returns ``shared`` itself when it was taken at ``height`` of a state
+    whose entries equal ``state``'s: peers that commit the same plans
+    store the same entry tuples, so the comparison is mostly identity
+    tests, and only the first such peer hashes the state.
+    """
     entries = tuple(state.items())
+    if (shared is not None and shared.manifest.height == height
+            and shared.entries == entries):
+        return shared
     byte_size = sum(len(key) + len(value) + ENTRY_OVERHEAD_BYTES
                     for key, (value, _) in entries)
     manifest = SnapshotManifest(

@@ -1,7 +1,10 @@
 """Tests for state snapshots and ledger catch-up (snapshot + replay)."""
 
+import dataclasses
+
 import pytest
 
+from repro.common.config import ChannelConfig, StateDBConfig
 from repro.common.types import (
     Block,
     KVWrite,
@@ -9,9 +12,11 @@ from repro.common.types import (
     TxReadWriteSet,
     ValidationCode,
 )
+from repro.experiments.runner import make_topology, make_workload
+from repro.fabric.network import FabricNetwork
 from repro.ledger import Ledger
 from repro.runtime.costs import CostModel
-from repro.statedb import LevelDBBackend
+from repro.statedb import LevelDBBackend, snapshot
 from repro.statedb.snapshot import ENTRY_OVERHEAD_BYTES
 
 COSTS = CostModel()
@@ -33,6 +38,28 @@ def commit(ledger, *keys):
     block.metadata.validation_flags = [ValidationCode.VALID] * len(txs)
     ledger.commit_block(block)
     ledger.state.drain_cost()
+
+
+def chain(length):
+    """``length`` valid blocks past genesis, each writing two keys, for
+    several ledgers to commit the same block objects."""
+    blocks = []
+    previous = Block.genesis("ch").header_hash()
+    for number in range(1, length + 1):
+        txs = (make_tx(f"t{number}-0", f"k{number}"),
+               make_tx(f"t{number}-1", "shared", value=bytes([number])))
+        block = Block(number=number, previous_hash=previous,
+                      transactions=txs, channel="ch")
+        block.metadata.validation_flags = [ValidationCode.VALID] * len(txs)
+        blocks.append(block)
+        previous = block.header_hash()
+    return blocks
+
+
+def fresh_manifest(ledger):
+    """The manifest of a snapshot built from scratch of ``ledger``'s
+    state, bypassing the block's cached one."""
+    return snapshot.take(ledger.state._store, ledger.height).manifest
 
 
 # ----------------------------------------------------------------------
@@ -125,3 +152,91 @@ def test_rebuild_state_without_snapshot_replays_from_genesis():
     assert snapshot_height == 0
     assert replayed == 3                # genesis + both data blocks
     assert ledger.state.state_hash() == expected_hash
+
+
+# ----------------------------------------------------------------------
+# One snapshot per height, shared by peers whose states match
+# ----------------------------------------------------------------------
+
+def test_ledgers_committing_the_same_blocks_share_each_snapshot():
+    ledgers = [Ledger("ch"), Ledger("ch")]
+    for block in chain(4):
+        for ledger in ledgers:
+            ledger.commit_block(block)
+            ledger.take_snapshot()
+    first, second = (ledger.snapshots for ledger in ledgers)
+    assert len(first) == len(second) == 4
+    for mine, theirs in zip(first, second):
+        assert mine is theirs
+    for ledger in ledgers:
+        assert ledger.latest_snapshot.manifest == fresh_manifest(ledger)
+
+
+def test_a_ledger_whose_state_differs_builds_and_caches_its_own():
+    matching, diverged = Ledger("ch"), Ledger("ch")
+    [block] = chain(1)
+    for ledger in (matching, diverged):
+        ledger.commit_block(block)
+    shared = matching.take_snapshot()
+    diverged.state.apply_write(KVWrite("extra", b"x"), version=(1, 0))
+    own = diverged.take_snapshot()
+    assert own is not shared
+    assert own.manifest == fresh_manifest(diverged)
+    assert own.manifest.entry_count == shared.manifest.entry_count + 1
+    assert block.snapshot is own
+
+
+def test_adopting_a_snapshot_charges_what_building_it_does():
+    builder, adopter = Ledger("ch"), Ledger("ch")
+    for block in chain(3):
+        for ledger in (builder, adopter):
+            ledger.commit_block(block)
+            ledger.state.drain_cost()
+    built = builder.take_snapshot()
+    assert adopter.take_snapshot() is built
+    for ledger in (builder, adopter):
+        stats = ledger.state.stats
+        assert stats.snapshots_taken == 1
+        assert stats.snapshot_bytes == built.manifest.byte_size
+    assert builder.state.pending_cost == adopter.state.pending_cost
+    assert adopter.state.pending_cost == pytest.approx(
+        built.manifest.byte_size * COSTS.snapshot_io_per_byte)
+
+
+def test_rebuild_state_from_an_adopted_snapshot():
+    builder, adopter = Ledger("ch"), Ledger("ch")
+    blocks = chain(4)
+    for block in blocks[:2]:
+        for ledger in (builder, adopter):
+            ledger.commit_block(block)
+    assert adopter.take_snapshot() is builder.take_snapshot()
+    for block in blocks[2:]:
+        for ledger in (builder, adopter):
+            ledger.commit_block(block)
+    expected_hash = adopter.state.state_hash()
+
+    assert adopter.rebuild_state() == (3, 2)
+    assert adopter.state.state_hash() == expected_hash
+    assert expected_hash == builder.state.state_hash()
+
+
+def test_network_peers_share_one_snapshot_per_channel_height():
+    statedb = StateDBConfig(kind="couchdb", cache=True, bulk=True,
+                            snapshot_interval=3)
+    topology = dataclasses.replace(
+        make_topology("raft", "OR10", 4, statedb=statedb),
+        extra_channels=[ChannelConfig(name="ch2",
+                                      endorsement_policy="OR10")])
+    network = FabricNetwork(topology, make_workload(60.0, 4.0), seed=1)
+    network.run_workload()
+    taken = 0
+    shared: dict[tuple[str, int], set[int]] = {}
+    for peer in network.peers:
+        for channel in peer.channels:
+            for snap in peer.ledger_for(channel).snapshots:
+                taken += 1
+                shared.setdefault((channel, snap.manifest.height),
+                                  set()).add(id(snap))
+    assert {channel for channel, _height in shared} == {"mychannel", "ch2"}
+    assert taken == len(network.peers) * len(shared)
+    assert all(len(objects) == 1 for objects in shared.values())
