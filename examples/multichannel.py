@@ -45,7 +45,7 @@ def main() -> None:
     shared_keys = set(alpha.state.keys()) & set(beta.state.keys())
     print(f"\nstate keys shared between channels: {len(shared_keys)} "
           "(channels are isolated)")
-    leader = network.orderer.broker_named(network.orderer.partition_leader)
+    leader = network.orderer.broker_named(network.orderer.leader)
     for channel, partition in sorted(leader.partitions.items()):
         print(f"kafka partition {channel!r}: {len(partition.log)} items, "
               f"high watermark {partition.high_watermark}")

@@ -28,7 +28,7 @@ def build(kind: str) -> FabricNetwork:
 
 def crash_leader(network: FabricNetwork, kind: str) -> str:
     if kind == "kafka":
-        leader_name = network.orderer.partition_leader
+        leader_name = network.orderer.leader
         network.orderer.broker_named(leader_name).crash()
         return f"kafka partition leader {leader_name}"
     leader = next(node for node in network.orderer.nodes

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from repro.chaincode.policy import EndorsementPolicy, resolve_policy_spec
+from repro.chaincode.policy import EndorsementPolicy, channel_policies
 from repro.common.config import TopologyConfig, WorkloadConfig, plan_load
 
 
@@ -55,21 +55,18 @@ def resolve_demands(topology: TopologyConfig,
     """Per-channel demands: the simulator's load plan summed per channel."""
     topology.validate(workload)
     plan = plan_load(topology, workload, workload_kind)
-    peer_names = [f"peer{i}"
-                  for i in range(topology.num_endorsing_peers)]
     demands = []
-    for config in [topology.channel] + list(topology.extra_channels):
-        loads = [load for load in plan if load.channel == config.name]
+    for channel, policy in channel_policies(topology).items():
+        loads = [load for load in plan if load.channel == channel]
         # A per-channel mix may leave an idle channel without clients;
         # it keeps its mix's shape.
         shape = (loads[0].workload if loads
-                 else (workload.per_channel or {})[config.name].workload)
+                 else (workload.per_channel or {})[channel].workload)
         demands.append(ChannelDemand(
-            channel=config.name,
+            channel=channel,
             rate=math.fsum(load.rate for load in loads),
             clients=sum(1 for load in loads if load.rate > 0),
-            policy=resolve_policy_spec(config.endorsement_policy,
-                                       peer_names),
+            policy=policy,
             workload=shape))
     return demands
 

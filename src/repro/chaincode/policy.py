@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 import typing
 
+from repro.common.config import TopologyConfig
 from repro.common.errors import ConfigurationError
 
 # Callback deciding among ``n`` alternatives; returns an index in [0, n).
@@ -335,3 +336,12 @@ def resolve_policy_spec(spec: str,
                                                             len(peer_names))]]
         return OutOf(min(k, len(pool)), pool)
     return parse_policy(spec)
+
+
+def channel_policies(topology: TopologyConfig
+                     ) -> dict[str, EndorsementPolicy]:
+    """Each channel's policy over the topology's endorsing peers."""
+    endorsing = topology.peer_names[:topology.num_endorsing_peers]
+    return {config.name: resolve_policy_spec(config.endorsement_policy,
+                                             endorsing)
+            for config in [topology.channel, *topology.extra_channels]}

@@ -225,8 +225,7 @@ class ClientNode(NodeBase):
                 tx_id=tx_id, channel=self.channel, chaincode=chaincode,
                 creator=self.name, rwset=good[0].rwset,
                 endorsements=tuple(r.endorsement for r in good),
-                response_bytes=good[0].response_bytes(), tx_size=tx_size,
-                submitted_at=self.sim.now)
+                response_bytes=good[0].response_bytes(), tx_size=tx_size)
             commit_event = self.sim.event()
             nack_event = self.sim.event()
             self._commit_waiters[tx_id] = commit_event
@@ -335,8 +334,6 @@ class ClientNode(NodeBase):
             waiter = self._response_waiters.get(response.tx_id)
             if waiter is not None and not waiter.triggered:
                 waiter.succeed()
-        return
-        yield  # pragma: no cover
 
     def _handle_commit_event(self, message: Message):
         tx_id = message.payload["tx_id"]
@@ -347,12 +344,9 @@ class ClientNode(NodeBase):
         waiter = self._commit_waiters.get(tx_id)
         if waiter is not None and not waiter.triggered:
             waiter.succeed(code)
-        return
-        yield  # pragma: no cover
 
     def _handle_broadcast_ack(self, message: Message):
-        return
-        yield  # pragma: no cover
+        """Ordered; the attempt waits for the commit event, not this ack."""
 
     def _handle_broadcast_nack(self, message: Message):
         """A nack fails the pending attempt fast (no 3 s timeout wait).
@@ -363,8 +357,6 @@ class ClientNode(NodeBase):
         waiter = self._nack_waiters.get(message.payload["tx_id"])
         if waiter is not None and not waiter.triggered:
             waiter.succeed(message.payload["reason"])
-        return
-        yield  # pragma: no cover
 
 
 def _nack_reason(outcome: str) -> str:

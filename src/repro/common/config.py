@@ -80,7 +80,6 @@ class ChannelConfig:
 
     name: str = "mychannel"
     endorsement_policy: str = "OR(1..n)"  # resolved by the policy parser
-    chaincode: str = "kvstore"
 
     def validate(self) -> None:
         if not self.name:
@@ -393,6 +392,11 @@ class TopologyConfig:
     @property
     def num_peers(self) -> int:
         return self.num_endorsing_peers + self.num_committing_only_peers
+
+    @property
+    def peer_names(self) -> list[str]:
+        """Every peer's name, the endorsing peers first."""
+        return [f"peer{index}" for index in range(self.num_peers)]
 
 
 def chaincode_for(workload: str) -> str:

@@ -169,7 +169,6 @@ class TransactionEnvelope:
     endorsements: tuple[Endorsement, ...]
     response_bytes: bytes
     tx_size: int = 1
-    submitted_at: float = 0.0  # set by the client when broadcast
 
     def wire_size(self) -> int:
         """Approximate serialized size in bytes.
@@ -194,9 +193,8 @@ class BlockMetadata:
     signature: Signature | None = None
     validation_flags: list[ValidationCode] = dataclasses.field(
         default_factory=list)
-    # Timestamps stamped by the pipeline for metrics (simulated seconds).
+    #: When the ordering service cut the block (simulated seconds).
     cut_at: float = 0.0
-    consensus_at: float = 0.0
 
 
 @dataclasses.dataclass

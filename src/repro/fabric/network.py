@@ -8,16 +8,13 @@ validate phase.
 
 from __future__ import annotations
 
-import typing
-
 from repro.chaincode import (
     KVStoreChaincode,
     MoneyTransferChaincode,
     NoopChaincode,
     SmallbankChaincode,
-    resolve_policy_spec,
 )
-from repro.chaincode.policy import EndorsementPolicy
+from repro.chaincode.policy import EndorsementPolicy, channel_policies
 from repro.client.sdk import ClientNode
 from repro.client.workload import WorkloadGenerator
 from repro.common.config import TopologyConfig, WorkloadConfig, plan_load
@@ -101,10 +98,7 @@ class FabricNetwork:
 
     def _build(self) -> None:
         self._build_peers()
-        peer_names = [peer.name for peer in self.endorsing_peers]
-        for config in self.channel_configs:
-            self.policies[config.name] = resolve_policy_spec(
-                config.endorsement_policy, peer_names)
+        self.policies = channel_policies(self.topology)
         self.policy = self.policies[self.channel]
         self._join_peers_to_channels()
         self._build_orderer()
@@ -121,9 +115,9 @@ class FabricNetwork:
 
     def _build_peers(self) -> None:
         topology = self.topology
-        for index in range(topology.num_peers):
+        for index, name in enumerate(topology.peer_names):
             is_endorsing = index < topology.num_endorsing_peers
-            identity = self.ca.enroll(f"peer{index}", Role.PEER)
+            identity = self.ca.enroll(name, Role.PEER)
             peer = PeerNode(self.context, identity, self.msp,
                             is_endorsing=is_endorsing,
                             gossip_leader=(topology.gossip and index == 0),
@@ -216,14 +210,8 @@ class FabricNetwork:
                                    phase="validate")
         for client in self.clients:
             obs.watch_resource(client.cpu, kind="cpu", phase="client")
-        for osn in self.orderer.nodes:
-            obs.watch_resource(osn.cpu, kind="cpu", phase="order")
-        for broker in getattr(self.orderer, "brokers", []):
-            obs.watch_resource(broker.cpu, kind="cpu", phase="order")
-        zookeeper = getattr(self.orderer, "zookeeper", None)
-        if zookeeper is not None:
-            for zk in zookeeper.nodes:
-                obs.watch_resource(zk.cpu, kind="cpu", phase="order")
+        for machine in self.orderer.machines:
+            obs.watch_resource(machine.cpu, kind="cpu", phase="order")
         for name in network.nodes:
             obs.watch_resource(network.nic(name), kind="nic",
                                phase="network")
@@ -374,33 +362,17 @@ class FabricNetwork:
 
     def node_named(self, name: str):
         """Any node in the deployment by name (fault-injection resolver)."""
-        pools = [self.peers, self.clients, self.orderer.nodes,
-                 getattr(self.orderer, "brokers", [])]
-        zookeeper = getattr(self.orderer, "zookeeper", None)
-        if zookeeper is not None:
-            pools.append(zookeeper.nodes)
-        for pool in pools:
+        for pool in (self.peers, self.clients, self.orderer.machines):
             for node in pool:
                 if node.name == name:
                     return node
         raise ConfigurationError(f"no node named {name!r}")
 
     def _resolve_fault_alias(self, alias: str) -> str | None:
-        """Resolve ``"@leader"`` to the current consensus leader's name.
-
-        Raft: the leading OSN.  Kafka: the partition-leader *broker* (the
-        node whose death triggers re-election).  Solo: the single OSN.
-        """
+        """Resolve ``"@leader"`` to :attr:`OrderingService.leader`."""
         if alias != "@leader":
             return None
-        kind = getattr(self.orderer, "kind", "")
-        if kind == "kafka":
-            leader = getattr(self.orderer, "partition_leader", None)
-            return typing.cast("str | None", leader)
-        if kind == "raft":
-            return typing.cast("str | None",
-                               getattr(self.orderer, "leader", None))
-        return self.orderer.nodes[0].name if self.orderer.nodes else None
+        return self.orderer.leader
 
     def recovery_report(self, fault_time: float, bucket: float = 0.5):
         """Recovery analysis for the last :meth:`run_workload` call.

@@ -14,7 +14,9 @@ generator code measures exactly the simulated interval between entering
 and leaving the block, even when the process yields in between.  Spans
 nest per simulation process (the tracer keeps one open-span stack per
 :class:`~repro.sim.core.Process`), so a span opened inside another span of
-the same process records it as its parent.
+the same process records it as its parent.  The tracer keeps no block
+record: critical-path extraction treats every ordering span as shared by
+the transactions in flight (:mod:`repro.obs.critical_path`).
 
 Tracing is opt-in and default-off: every node reaches its tracer through
 ``context.tracer``, which is the shared :data:`NULL_TRACER` unless an
@@ -143,10 +145,6 @@ class NullTracer:
     def attach_wait(self, seconds: float) -> None:
         return None
 
-    def block_cut(self, channel: str, number: int,
-                  tx_ids: list[str]) -> None:
-        return None
-
     def record_complete(self, name: str, category: str = "", node: str = "",
                         tx_id: str = "", start: float = 0.0, end: float = 0.0,
                         **args: typing.Any) -> None:
@@ -166,10 +164,6 @@ class Tracer:
         self.spans: list[Span] = []
         self.instants: list[
             tuple[float, str, str, str, dict[str, typing.Any] | None]] = []
-        #: Block composition: (channel, number) -> tx_ids, recorded by the
-        #: ordering service when it cuts a block.  Critical-path extraction
-        #: uses it to tie a transaction to its block's ordering spans.
-        self.blocks: dict[tuple[str, int], list[str]] = {}
         # Open-span stack per simulation process (id -> stack); keyed by id
         # because Process objects are not hashable by value and stacks must
         # not keep dead processes alive once their spans close.
@@ -206,15 +200,6 @@ class Tracer:
         if stack:
             span = stack[-1]
             span.wait = (span.wait or 0.0) + seconds
-
-    def block_cut(self, channel: str, number: int,
-                  tx_ids: list[str]) -> None:
-        """Record which transactions a freshly cut block carries.
-
-        Idempotent per (channel, number): with multi-OSN orderers every
-        node reports the same cut, and only the first wins.
-        """
-        self.blocks.setdefault((channel, number), list(tx_ids))
 
     def record_complete(self, name: str, category: str = "", node: str = "",
                         tx_id: str = "", start: float = 0.0, end: float = 0.0,

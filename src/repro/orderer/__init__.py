@@ -13,6 +13,11 @@ BatchTimeout rules, and deliver signed blocks to subscribed peers
   (TTC) markers for atomic timeout cuts.
 - **Raft** — the leader OSN cuts blocks and replicates them through the Raft
   log; commit requires a majority.
+
+:class:`OrderingServiceNode` alone cuts, builds, signs, counts, delivers
+and acknowledges blocks: Kafka only produces and consumes, and Raft only
+proposes through its log and commits on apply.  :class:`OrderingService`
+alone names a deployment's ``machines`` and its ``leader``.
 """
 
 from repro.orderer.base import OrderingService, OrderingServiceNode

@@ -1,4 +1,4 @@
-"""Shared machinery of all ordering service nodes.
+"""The ordering front every ordering service node shares.
 
 An OSN accepts ``broadcast`` messages carrying endorsed transaction
 envelopes, performs the orderer-side checks (channel match, size limits,
@@ -6,6 +6,11 @@ light CPU cost per envelope — the orderer does *not* validate transactions,
 §IV.C), hands the envelope to the consensus backend, assembles blocks, signs
 them, delivers them to subscribed peers, and acknowledges the submitting
 client once the envelope has been ordered.
+
+This front owns the block path: ``_consume_ordered`` feeds the cutter, and
+``_next_block``, ``_sign`` and ``_commit_block`` number, sign, count,
+deliver and acknowledge every block.  A backend supplies ``_submit`` and
+``_submit_ttc``; Raft also overrides ``_emit_block`` to propose the block.
 
 Ordering is **per channel** (§II: "the ordering service receives
 transactions from all channels ... orders them chronologically on a
@@ -37,7 +42,8 @@ class ChannelChain:
         self.subscribers: list[str] = []
         self.timer_epoch = 0
         self.blocks_cut = 0
-        #: Delivered blocks by number, kept for peer redelivery requests.
+        #: Delivered blocks by number, in order: peer redelivery requests
+        #: and a new Raft leader's chain tail read them.
         self.delivered: dict[int, Block] = {}
 
 
@@ -126,8 +132,6 @@ class OrderingServiceNode(NodeBase):
             chain = self.chains.get(channel)
             if chain is not None and message.source not in chain.subscribers:
                 chain.subscribers.append(message.source)
-        return
-        yield  # pragma: no cover - handler protocol requires a generator
 
     def _handle_deliver_resend(self, message: Message):
         """Resend one already-delivered block (peer-side drop recovery)."""
@@ -138,20 +142,20 @@ class OrderingServiceNode(NodeBase):
         if block is not None:
             self.send(message.source, "block", block,
                       size=block.wire_size())
-        return
-        yield  # pragma: no cover - handler protocol requires a generator
 
     # ------------------------------------------------------------------
-    # Ordered-stream consumption (Solo and Kafka paths)
+    # Ordered-stream consumption
     # ------------------------------------------------------------------
 
     def _consume_ordered(self, item: tuple[str, typing.Any]):
-        """Feed one committed stream item into the deterministic cutter.
+        """Feed one ordered item into the channel's block cutter.
 
-        Items are ``("tx", envelope)`` or ``("ttc", (channel, number))``.
-        A TTC marker cuts only if it targets the block currently being
-        assembled on that channel; stale markers (another OSN's timer raced
-        a size-triggered cut) are ignored by all OSNs identically.
+        Serves all three kinds: Solo feeds its local stream, Kafka the
+        partition's committed stream, and Raft the leader's intake.  Items
+        are ``("tx", envelope)`` or ``("ttc", (channel, number))``.  A TTC
+        marker cuts only if it targets the block currently being assembled
+        on that channel; stale markers (another OSN's timer raced a
+        size-triggered cut) are ignored by all OSNs identically.
         """
         kind, payload = item
         if kind == "tx":
@@ -203,56 +207,59 @@ class OrderingServiceNode(NodeBase):
     def _emit_block(self, chain: ChannelChain,
                     batch: list[TransactionEnvelope]):
         """Assemble, sign, and deliver a block from ``batch``."""
-        if not batch:
-            return
-        chain.timer_epoch += 1  # disarm any running batch timer
-        block = Block(number=chain.next_block_number,
-                      previous_hash=chain.previous_hash,
-                      transactions=tuple(batch), channel=chain.channel)
-        chain.next_block_number += 1
-        chain.previous_hash = block.header_hash()
+        block = self._next_block(chain, batch)
         with self.tracer.span("order.block", category="order",
                               node=self.name) as span:
             span.annotate(block=block.number, channel=chain.channel,
                           txs=len(batch),
                           cutter_pending=chain.cutter.pending_count)
             yield from self.compute(self.costs.block_sign_cpu)
-            block.metadata.orderer = self.name
-            block.metadata.signature = self.identity.sign(
-                block.header_bytes())
-            block.metadata.cut_at = self.sim.now
-            chain.blocks_cut += 1
-            if self.tracer:
-                self.tracer.block_cut(chain.channel, block.number,
-                                      [e.tx_id for e in batch])
-            self._record_cut(block)
-            self._deliver_block(chain, block)
-            self._ack_block(block)
+            self._sign(block)
+            self._commit_block(chain, block)
 
-    def _record_cut(self, block: Block) -> None:
-        if not self.metrics_leader:
-            return
-        self.context.metrics.block_cut(len(block), self.name,
-                                       channel=block.channel)
-        for envelope in block.transactions:
-            self.context.metrics.tx_ordered(envelope.tx_id)
+    def _next_block(self, chain: ChannelChain,
+                    batch: list[TransactionEnvelope]) -> Block:
+        """Disarm the batch timer, then number and chain a block."""
+        chain.timer_epoch += 1
+        block = Block(number=chain.next_block_number,
+                      previous_hash=chain.previous_hash,
+                      transactions=tuple(batch), channel=chain.channel)
+        chain.next_block_number += 1
+        chain.previous_hash = block.header_hash()
+        return block
 
-    def _deliver_block(self, chain: ChannelChain, block: Block) -> None:
+    def _sign(self, block: Block) -> None:
+        """Stamp the block with this OSN's signature and the cut time."""
+        block.metadata.orderer = self.name
+        block.metadata.signature = self.identity.sign(block.header_bytes())
+        block.metadata.cut_at = self.sim.now
+
+    def _commit_block(self, chain: ChannelChain, block: Block) -> None:
+        """Count, record, deliver and acknowledge an ordered block."""
+        chain.blocks_cut += 1
+        if self.metrics_leader:
+            metrics = self.context.metrics
+            metrics.block_cut(len(block), self.name, channel=block.channel)
+            for envelope in block.transactions:
+                metrics.tx_ordered(envelope.tx_id)
         chain.delivered[block.number] = block
         for subscriber in chain.subscribers:
             self.send(subscriber, "block", block, size=block.wire_size())
-
-    def _ack_block(self, block: Block) -> None:
-        """Acknowledge every submitter whose envelope is now ordered."""
         for envelope in block.transactions:
             client = self._pending_acks.pop(envelope.tx_id, None)
             if client is not None:
-                self.send(client, "broadcast_ack",
-                          {"tx_id": envelope.tx_id})
+                self.send(client, "broadcast_ack", {"tx_id": envelope.tx_id})
+
+    def _nack(self, envelope: TransactionEnvelope, reason: str) -> None:
+        """Refuse an accepted envelope, so its client can resubmit at once."""
+        client = self._pending_acks.pop(envelope.tx_id, None)
+        if client is not None:
+            self.send(client, "broadcast_nack",
+                      {"tx_id": envelope.tx_id, "reason": reason})
 
 
 class OrderingService:
-    """Facade over the OSN set; assigns clients and peers to OSNs."""
+    """Facade over one deployment: its OSNs, its machines and its leader."""
 
     kind = ""
 
@@ -280,6 +287,16 @@ class OrderingService:
     @property
     def node_names(self) -> list[str]:
         return [node.name for node in self.nodes]
+
+    @property
+    def machines(self) -> list[NodeBase]:
+        """Every node of the deployment, its OSNs first."""
+        return list(self.nodes)
+
+    @property
+    def leader(self) -> str | None:
+        """The node ``@leader`` names: Solo's OSN (Raft, Kafka override)."""
+        return self.nodes[0].name
 
     def osn_for(self, index: int) -> OrderingServiceNode:
         """Round-robin OSN assignment for clients and peers."""

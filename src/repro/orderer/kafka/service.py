@@ -10,7 +10,6 @@ for a block number cuts it everywhere; stale TTCs are ignored.
 
 from __future__ import annotations
 
-
 from repro.common.config import OrdererConfig
 from repro.common.errors import ConfigurationError
 from repro.common.types import TransactionEnvelope
@@ -18,6 +17,7 @@ from repro.msp.identity import Identity
 from repro.orderer.base import OrderingService, OrderingServiceNode
 from repro.orderer.kafka.broker import BrokerNode, StreamItem
 from repro.orderer.kafka.zookeeper import ZooKeeperEnsemble
+from repro.runtime.node import NodeBase
 from repro.sim.network import Message
 
 
@@ -65,10 +65,7 @@ class KafkaOSN(OrderingServiceNode):
             # No partition leader (cluster still electing): fail fast so
             # the client can back off and resubmit instead of burning its
             # full ordering timeout.  Mirrors the Raft no-leader nack.
-            client = self._pending_acks.pop(envelope.tx_id, None)
-            if client is not None:
-                self.send(client, "broadcast_nack",
-                          {"tx_id": envelope.tx_id, "reason": "no leader"})
+            self._nack(envelope, "no leader")
             return
         yield from self._produce(envelope.channel, ("tx", envelope),
                                  envelope.wire_size())
@@ -98,8 +95,6 @@ class KafkaOSN(OrderingServiceNode):
         self.send(self.partition_leader, "fetch_subscribe",
                   {"offsets": {channel: cursor.next_offset
                                for channel, cursor in self._cursors.items()}})
-        return
-        yield  # pragma: no cover
 
     def _handle_consume(self, message: Message):
         cursor = self._cursors.get(message.payload["channel"])
@@ -170,5 +165,12 @@ class KafkaOrderingService(OrderingService):
         raise KeyError(name)
 
     @property
-    def partition_leader(self) -> str | None:
+    def machines(self) -> list[NodeBase]:
+        """The OSNs, then the brokers, then the ZooKeeper nodes."""
+        zookeeper = self.zookeeper.nodes if self.zookeeper else []
+        return [*self.nodes, *self.brokers, *zookeeper]
+
+    @property
+    def leader(self) -> str | None:
+        """The partition-leader broker, as ZooKeeper elected it."""
         return self.zookeeper.partition_leader if self.zookeeper else None

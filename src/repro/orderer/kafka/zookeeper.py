@@ -79,8 +79,6 @@ class ZooKeeperNode(NodeBase):
         broker = message.payload["broker"]
         if broker in self.sessions:
             self.sessions[broker] = self.sim.now
-        return
-        yield  # pragma: no cover
 
     def _handle_watch(self, message: Message):
         self.ensemble.add_watcher(message.source)
@@ -90,8 +88,6 @@ class ZooKeeperNode(NodeBase):
                       {"leader": leader, "epoch": self.ensemble.leader_epoch,
                        "alive_replicas": sorted(
                            self.ensemble.alive_brokers)})
-        return
-        yield  # pragma: no cover
 
     def _session_monitor(self):
         """Expire broker sessions that missed heartbeats (leader only)."""
@@ -148,8 +144,6 @@ class ZooKeeperNode(NodeBase):
         done, needed = self._ack_waiters[proposal_id]
         if self._ack_counts[proposal_id] >= needed and not done.triggered:
             done.succeed()
-        return
-        yield  # pragma: no cover
 
 
 class ZooKeeperEnsemble:

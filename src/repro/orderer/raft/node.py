@@ -178,8 +178,6 @@ class RaftNode:
             "granted": granted,
             "voter": self.name,
         })
-        return
-        yield  # pragma: no cover
 
     def _handle_vote(self, message: Message):
         payload = message.payload
@@ -193,8 +191,6 @@ class RaftNode:
         self.votes_received.add(payload["voter"])
         if len(self.votes_received) >= self.majority:
             self._become_leader()
-        return
-        yield  # pragma: no cover
 
     def _become_leader(self) -> None:
         self.state = RaftState.LEADER
@@ -334,8 +330,6 @@ class RaftNode:
                                             self.next_index[follower] - 1)
             self._send_append(follower)
         self._kick_apply()
-        return
-        yield  # pragma: no cover
 
     def _advance_commit(self) -> None:
         """Commit the highest index replicated on a majority in this term."""

@@ -14,6 +14,9 @@ envelopes and lets every OSN cut deterministically).  We model exactly that:
 - a freshly elected leader defers cutting until its term's no-op entry has
   applied, so block numbering continues from the last applied block.
 
+The OSN base's front cuts, signs and commits the blocks; Raft changes only
+where a signed block goes (its log) and when it commits (on apply).
+
 Deviation from Fabric noted: Fabric runs one Raft instance per channel; we
 order all channels through one shared Raft log (entries are blocks tagged
 with their channel, numbering and cutting stay per-channel).  For the
@@ -51,8 +54,6 @@ class RaftOSN(OrderingServiceNode):
         self.leader_ready = False
         #: Envelopes accepted while leading but before the no-op applied.
         self._preterm_queue: list[TransactionEnvelope] = []
-        #: channel -> last applied block (chain-tail resync on election).
-        self._last_applied: dict[str, Block] = {}
         self.on("raft_forward", self._handle_forward)
 
     def start(self) -> None:
@@ -83,10 +84,7 @@ class RaftOSN(OrderingServiceNode):
             # No known leader (mid-election): tell the client immediately so
             # it can back off and resubmit rather than burn its full
             # ordering timeout discovering nothing happened.
-            client = self._pending_acks.pop(envelope.tx_id, None)
-            if client is not None:
-                self.send(client, "broadcast_nack",
-                          {"tx_id": envelope.tx_id, "reason": "no leader"})
+            self._nack(envelope, "no leader")
 
     def _handle_forward(self, message: Message):
         if not self.raft.is_leader:
@@ -101,37 +99,21 @@ class RaftOSN(OrderingServiceNode):
         if not self.leader_ready:
             self._preterm_queue.append(envelope)
             return
-        chain = self.chains[envelope.channel]
-        batches = chain.cutter.add(envelope)
-        if not batches and chain.cutter.pending_count == 1:
-            self._arm_timeout(chain)
-        for batch in batches:
-            yield from self._propose_block(chain, batch)
+        yield from self._consume_ordered(("tx", envelope))
 
     def _submit_ttc(self, channel: str, block_number: int):
         """BatchTimeout fired at the leader: cut whatever is pending."""
-        if not self.raft.is_leader:
-            return
-        chain = self.chains[channel]
-        if block_number != chain.next_block_number:
-            return
-        if chain.cutter.has_pending:
-            yield from self._propose_block(chain, chain.cutter.cut())
+        if self.raft.is_leader:
+            yield from self._consume_ordered(("ttc", (channel, block_number)))
 
     # ------------------------------------------------------------------
     # Block proposal through Raft
     # ------------------------------------------------------------------
 
-    def _propose_block(self, chain: ChannelChain,
-                       batch: list[TransactionEnvelope]):
-        if not batch:
-            return
-        chain.timer_epoch += 1
-        block = Block(number=chain.next_block_number,
-                      previous_hash=chain.previous_hash,
-                      transactions=tuple(batch), channel=chain.channel)
-        chain.next_block_number += 1
-        chain.previous_hash = block.header_hash()
+    def _emit_block(self, chain: ChannelChain,
+                    batch: list[TransactionEnvelope]):
+        """Sign the cut block and propose it; it commits on apply."""
+        block = self._next_block(chain, batch)
         with self.tracer.span("order.raft.propose", category="order",
                               node=self.name) as span:
             span.annotate(block=block.number, channel=chain.channel,
@@ -139,10 +121,7 @@ class RaftOSN(OrderingServiceNode):
             yield from self.compute(self.costs.block_sign_cpu)
             yield from self.compute(self.costs.raft_append_cpu)
             yield from self.compute(self.costs.consensus_fsync_io)
-            block.metadata.orderer = self.name
-            block.metadata.signature = self.identity.sign(
-                block.header_bytes())
-            block.metadata.cut_at = self.sim.now
+            self._sign(block)
             self.raft.propose(("block", block))
 
     # ------------------------------------------------------------------
@@ -178,19 +157,15 @@ class RaftOSN(OrderingServiceNode):
             span.annotate(block=block.number, channel=block.channel,
                           txs=len(block.transactions))
             yield from self.compute(self.costs.raft_append_cpu)
-            chain = self.chains[block.channel]
-            chain.blocks_cut += 1
-            self._record_cut(block)
-            self._deliver_block(chain, block)
-            self._ack_block(block)
-            self._last_applied[block.channel] = block
+            self._commit_block(self.chains[block.channel], block)
 
     def _sync_chain_tails(self) -> None:
-        """Align numbering with the last applied blocks (new leaders)."""
-        for channel, block in self._last_applied.items():
-            chain = self.chains[channel]
-            chain.next_block_number = block.number + 1
-            chain.previous_hash = block.header_hash()
+        """Continue each chain from its last applied block (new leaders)."""
+        for chain in self.chains.values():
+            if chain.delivered:
+                block = next(reversed(chain.delivered.values()))
+                chain.next_block_number = block.number + 1
+                chain.previous_hash = block.header_hash()
 
 
 class RaftOrderingService(OrderingService):

@@ -211,8 +211,6 @@ class PeerNode(NodeBase):
         block: Block = message.payload
         self.gossip.on_block(block, from_orderer=True)
         self._accept_block(block)
-        return
-        yield  # pragma: no cover
 
     def _handle_gossip_block(self, message):
         block: Block = message.payload
@@ -221,8 +219,6 @@ class PeerNode(NodeBase):
         # has none.
         self.gossip.on_block(block, from_orderer=False)
         self._accept_block(block)
-        return
-        yield  # pragma: no cover
 
     def _accept_block(self, block: Block) -> None:
         state = self._channel_states.get(block.channel)
@@ -236,14 +232,10 @@ class PeerNode(NodeBase):
     def _handle_register_listener(self, message):
         tx_id = message.payload["tx_id"]
         self._listeners[tx_id] = message.source
-        return
-        yield  # pragma: no cover
 
     def _handle_deregister_listener(self, message):
         """Client withdrew a commit listener (timed-out attempt)."""
         self._listeners.pop(message.payload["tx_id"], None)
-        return
-        yield  # pragma: no cover
 
     @property
     def listener_count(self) -> int:

@@ -5,6 +5,10 @@ all extend :class:`NodeBase`.  A node registers message handlers by type;
 the receive loop dispatches each incoming message to its handler as a new
 process, so handlers that block (on CPU, timers, or further messages) do not
 stall message intake — mirroring gRPC servers, which accept concurrently.
+
+The handler rule: a handler that never waits is a plain function; one that
+waits is a generator, which the dispatch process drives with ``yield from``.
+Either runs once the message's TLS charge ends.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from repro.sim.events import Event, Timeout
 from repro.sim.network import Message, NodeDownError
 from repro.sim.resources import Resource
 
-Handler = typing.Callable[[Message], typing.Generator[Event, typing.Any, None]]
+#: A plain function, or a generator function when the handler waits.
+Handler = typing.Callable[
+    [Message], typing.Generator[Event, typing.Any, None] | None]
 
 
 class NodeBase:
@@ -63,7 +69,11 @@ class NodeBase:
     # ------------------------------------------------------------------
 
     def on(self, msg_type: str, handler: Handler) -> None:
-        """Register ``handler`` for messages of ``msg_type``."""
+        """Register ``handler`` for messages of ``msg_type``.
+
+        A handler that never waits is a plain function; one that waits (on
+        CPU, timers or events) is a generator.
+        """
         if msg_type in self._handlers:
             raise ConfigurationError(
                 f"{self.name}: handler for {msg_type!r} already registered")
@@ -111,7 +121,9 @@ class NodeBase:
                 yield Timeout(self.sim, tls)
             finally:
                 cpu.release(request)
-        yield from handler(message)
+        waits = handler(message)
+        if waits is not None:
+            yield from waits
 
     # ------------------------------------------------------------------
     # CPU helpers

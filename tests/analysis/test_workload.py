@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import offered_rate, resolve_demands
+from repro.chaincode.policy import channel_policies
 from repro.common.config import (
     ChannelConfig,
     ChannelWorkload,
@@ -10,6 +11,7 @@ from repro.common.config import (
     TopologyConfig,
     WorkloadConfig,
 )
+from repro.fabric.network import FabricNetwork
 
 
 def test_classic_single_channel_round_robin():
@@ -85,3 +87,22 @@ def test_policy_resolution_sets_endorsement_counts():
     or_demand = resolve_demands(or_topology, workload)[0]
     assert or_demand.endorsements == 1
     assert or_demand.targets == 10
+
+
+def test_network_and_model_resolve_the_same_channel_policies():
+    topology = TopologyConfig(
+        num_endorsing_peers=4, num_committing_only_peers=2,
+        channel=ChannelConfig(name="a", endorsement_policy="OR3"),
+        extra_channels=[
+            ChannelConfig(name="b", endorsement_policy="AND(1..n)"),
+            ChannelConfig(name="c", endorsement_policy="OutOf(2,3)")])
+    workload = WorkloadConfig(arrival_rate=30.0, num_clients=3)
+    policies = channel_policies(topology)
+    assert list(policies) == ["a", "b", "c"]
+    assert policies["b"].principals() == {"peer0", "peer1", "peer2",
+                                          "peer3"}
+    network = FabricNetwork(topology, workload)
+    assert network.policies == policies
+    assert [peer.name for peer in network.peers] == topology.peer_names
+    for demand in resolve_demands(topology, workload):
+        assert demand.policy == policies[demand.channel]

@@ -88,7 +88,7 @@ def test_kafka_partition_per_channel():
     network = build(kind="kafka")
     network.run_workload()
     leader = network.orderer.broker_named(
-        network.orderer.partition_leader)
+        network.orderer.leader)
     assert sorted(leader.partitions) == ["alpha", "beta"]
     assert len(leader.partitions["alpha"].log) > 0
     assert len(leader.partitions["beta"].log) > 0

@@ -9,6 +9,7 @@ from repro.common.config import (
     WorkloadConfig,
 )
 from repro.common.types import KVWrite
+from repro.experiments.runner import make_topology, make_workload
 from repro.fabric.network import FabricNetwork
 
 
@@ -154,3 +155,25 @@ def test_peer_named_lookup():
 
     with pytest.raises(ConfigurationError):
         network.peer_named("ghost")
+
+
+@pytest.mark.parametrize("kind", ["solo", "raft", "kafka"])
+def test_ordering_service_names_its_machines_and_leader(kind):
+    network = FabricNetwork(make_topology(kind, "AND2", 4),
+                            make_workload(10, duration=4), seed=5)
+    orderer = network.orderer
+    names = [node.name for node in
+             network.peers + network.clients + orderer.machines]
+    assert sorted(names) == sorted(network.context.network.nodes)
+    assert len(set(names)) == len(names)
+    network.start()
+    network.sim.run(until=2.0)
+    assert network._resolve_fault_alias("@leader") == orderer.leader
+    if kind == "solo":
+        expected = "osn0"
+    elif kind == "raft":
+        [expected] = [osn.name for osn in orderer.nodes if osn.raft.is_leader]
+    else:
+        expected = orderer.zookeeper.partition_leader
+    assert expected is not None
+    assert orderer.leader == expected

@@ -193,16 +193,6 @@ def test_attach_wait_without_open_span_is_a_no_op():
     assert tracer.spans == []
 
 
-def test_block_cut_is_idempotent_per_block():
-    sim = Simulation()
-    tracer = Tracer(sim)
-    tracer.block_cut("ch", 7, ["a", "b"])
-    # A second OSN reporting the same cut must not overwrite the first.
-    tracer.block_cut("ch", 7, ["stale"])
-    tracer.block_cut("ch", 8, ["c"])
-    assert tracer.blocks == {("ch", 7): ["a", "b"], ("ch", 8): ["c"]}
-
-
 def test_record_complete_appends_a_finished_span_without_stacks():
     sim = Simulation()
     tracer = Tracer(sim)
@@ -221,5 +211,4 @@ def test_record_complete_appends_a_finished_span_without_stacks():
 
 def test_null_tracer_new_surface_is_inert():
     assert NULL_TRACER.attach_wait(1.0) is None
-    assert NULL_TRACER.block_cut("ch", 1, ["a"]) is None
     assert NULL_TRACER.record_complete("x", start=0.0, end=1.0) is None

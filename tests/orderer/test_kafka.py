@@ -33,7 +33,7 @@ def test_partition_leader_elected_on_start():
     service = make_kafka(context)
     service.start()
     context.sim.run(until=1.0)
-    assert service.partition_leader == "broker0"
+    assert service.leader == "broker0"
     leader = service.broker_named("broker0")
     assert leader.is_leader
 
@@ -130,7 +130,7 @@ def test_leader_broker_failure_triggers_reelection():
     drive(service, context, envelopes, client, subscriber,
           spacing=0.5, run_until=20.0)
     # A new leader took over from the remaining replicas.
-    assert service.partition_leader in ("broker1", "broker2")
+    assert service.leader in ("broker1", "broker2")
     # Service kept ordering after failover; some in-flight envelopes may be
     # lost (crash-fault), but progress resumed.
     post_failover = [tx for tx in subscriber.committed_tx_ids()

@@ -37,7 +37,7 @@ def test_startup_elects_exactly_once():
     service = started(context)
     # Concurrent registrations must not produce election churn.
     assert service.zookeeper.leader_epoch == 1
-    assert service.partition_leader == "broker0"
+    assert service.leader == "broker0"
 
 
 def test_followers_track_high_watermark():

@@ -159,3 +159,33 @@ def test_tls_cost_charged_per_message():
     a.send("b", "ping", None, size=1)
     context.sim.run()
     assert done[0] >= context.costs.tls_per_message_cpu
+
+
+def test_plain_handler_runs_once_the_tls_charge_ends():
+    # No latency or jitter: each message arrives as it is sent, so a
+    # handler starts exactly when its TLS charge ends.
+    context = NetworkContext.create(seed=3, latency=0.0, jitter=0.0)
+    tls = context.costs.tls_per_message_cpu
+    a = make_node(context, "a")
+    b = make_node(context, "b")
+    seen = []
+
+    def plain(message):
+        seen.append(("plain", context.sim.now))
+
+    def waiting(message):
+        seen.append(("waiting starts", context.sim.now))
+        yield context.sim.timeout(1.0)
+        seen.append(("waiting ends", context.sim.now))
+
+    b.on("plain", plain)
+    b.on("waiting", waiting)
+    a.send("b", "waiting", None, size=1)
+    a.send("b", "plain", None, size=1)
+    context.sim.run()
+    assert [label for label, _ in seen] == [
+        "waiting starts", "plain", "waiting ends"]
+    times = dict(seen)
+    assert times["plain"] == pytest.approx(tls, abs=1e-6)
+    assert times["waiting starts"] == pytest.approx(tls, abs=1e-6)
+    assert times["waiting ends"] == pytest.approx(1.0 + tls, abs=1e-6)
