@@ -219,10 +219,13 @@ def run_scenario(name: str, seed: int = GOLDEN_SEED,
     wall clock (best-of-N).  Every repeat computes the same schedule, the
     same metrics, and the same digest — only host noise varies — so
     best-of-N estimates the run's intrinsic cost, the quantity the bench
-    trajectory tracks.  The garbage collector stays on, as it is for
-    every user: how often it collects and how much it re-scans follow
-    from the simulator's own allocations and data layout, so its time is
-    part of the run's cost.
+    trajectory tracks.  The timed section leaves the garbage collector
+    as every user's run has it: :meth:`~repro.sim.core.Simulation.run`
+    pauses the automatic collector inside its loop, because a run
+    allocates no reference cycles (``tests/sim/test_acyclic.py`` is the
+    contract that makes the pause safe; a cycle a run did create would be
+    held until ``run`` returns), and any pass outside the loop is part of
+    the run's cost.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -281,15 +284,22 @@ class PopOwnerCensus:
     digest's rule (:func:`~repro.sim.sanitizer.event_owner`).  The host
     time between two consecutive pops is charged to the first one's key,
     so a key's time covers its callbacks, the kernel's work up to the
-    next pop and the hook's own cost.  The hook reads the event and the
-    clock only, so the run pops exactly the events of an unhooked run.
+    next pop and the hook's own cost.  A cyclic-collector pass is the
+    exception: :meth:`on_collect`, a ``gc.callbacks`` hook, moves its
+    seconds out of the interval it interrupted into the census's own
+    collector row.  Both hooks read the event, the pass and the clock
+    only, so the run pops exactly the events of an unhooked run.
     """
 
     def __init__(self) -> None:
         self.pops: dict[tuple[str, str], int] = {}
         self.seconds: dict[tuple[str, str], float] = {}
+        #: Collector passes by generation (young, middle, full).
+        self.collections = [0, 0, 0]
+        self.collector_s = 0.0
         self._last: tuple[str, str] | None = None
         self._since = 0.0
+        self._collect_started = 0.0
 
     def record(self, when: float, seq: int, event: "Event") -> None:
         now = time.perf_counter()  # simlint: disable=SL002
@@ -298,6 +308,18 @@ class PopOwnerCensus:
         self.pops[key] = self.pops.get(key, 0) + 1
         self._last = key
         self._since = now
+
+    def on_collect(self, phase: str, info: dict[str, int]) -> None:
+        """``gc.callbacks`` hook: charge a pass to the collector row and
+        take it out of the current pop's interval."""
+        now = time.perf_counter()  # simlint: disable=SL002
+        if phase == "start":
+            self._collect_started = now
+            return
+        spent = now - self._collect_started
+        self.collections[info["generation"]] += 1
+        self.collector_s += spent
+        self._since += spent
 
     def stop(self) -> None:
         """Charge the last pop's interval (call when the run returns)."""
@@ -312,9 +334,9 @@ class PopOwnerCensus:
 
     def render(self) -> str:
         """The :data:`CENSUS_ROWS` costliest keys by host time, then the
-        rest."""
+        rest, then the collector's passes (young/middle/full)."""
         total_pops = sum(self.pops.values())
-        total_s = sum(self.seconds.values())
+        total_s = sum(self.seconds.values()) + self.collector_s
         ranked = sorted(self.pops,
                         key=lambda key: (-self.seconds.get(key, 0.0), key))
         shown = [(*key, self.pops[key], self.seconds.get(key, 0.0))
@@ -335,6 +357,11 @@ class PopOwnerCensus:
                 f"{pops / total_pops:>6.1%}  "
                 f"{seconds / total_s if total_s else 0.0:>6.1%}  "
                 f"{1e6 * seconds / pops:>7.1f}")
+        passes = "/".join(str(count) for count in self.collections)
+        lines.append(
+            f"{'gc':<10}  {'collector':<{width}}  {'-':>6}  "
+            f"{self.collector_s / total_s if total_s else 0.0:>6.1%}  "
+            f"{passes} passes, {self.collector_s:.2f} s")
         return "\n".join(lines)
 
 
@@ -345,9 +372,11 @@ def census_scenario(name: str, seed: int = GOLDEN_SEED, scale: str = "full",
     network = _build_network(SCENARIOS[name].at_scale(scale), seed)
     census = PopOwnerCensus()
     network.sim.set_trace(census)
+    gc.callbacks.append(census.on_collect)
     try:
         metrics = network.run_workload()
     finally:
+        gc.callbacks.remove(census.on_collect)
         network.sim.set_trace(None)
     census.stop()
     return census, metrics

@@ -121,11 +121,6 @@ class CostModel:
     #: CPU per message for TLS record processing, charged at the receiver.
     tls_per_message_cpu: float = 0.00003
 
-    #: Memo for :meth:`vscc_tx_cpu`.  Keyed by (endorsements, base, per) so
-    #: reconfiguring the model mid-run can never serve a stale cost.
-    _vscc_memo: dict[tuple[int, float, float], float] = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
     def validate(self) -> None:
         # Written so that NaN fails it: a NaN or infinite cost reaches the
         # kernel as a delay it cannot schedule, mid-run and unnamed.
@@ -151,16 +146,6 @@ class CostModel:
         return self.client_threads / per_tx
 
     def vscc_tx_cpu(self, endorsements: int) -> float:
-        """VSCC CPU for one transaction carrying ``endorsements`` signatures.
-
-        Memoised: the validator calls this once per transaction with a
-        handful of distinct endorsement counts over a whole run.
-        """
-        key = (endorsements, self.vscc_base_cpu,
-               self.vscc_per_endorsement_cpu)
-        memo = self._vscc_memo
-        value = memo.get(key)
-        if value is None:
-            value = key[1] + key[2] * endorsements
-            memo[key] = value
-        return value
+        """VSCC CPU for one transaction carrying ``endorsements`` signatures."""
+        return (self.vscc_base_cpu
+                + self.vscc_per_endorsement_cpu * endorsements)

@@ -44,17 +44,6 @@ class PopHook(typing.Protocol):
         ...
 
 
-#: Young-generation threshold of the cyclic garbage collector while
-#: :meth:`Simulation.run` loops (CPython's default is 700).  A block's
-#: in-flight objects (VSCC jobs, grant requests, messages) then mostly
-#: die by reference count before a collection can promote them.  Bench
-#: ``wall_s`` on ``raft-scaleout-60p4c`` (seed 3, 2-vCPU Xeon): 700
-#: 16.9 s, 10k 13.7 s, 50k 12.8 s, 100k 13.6 s; 50k gains nothing on the
-#: smaller workloads and costs them 1-2 MB of peak RSS (EXPERIMENTS.md
-#: "Host memory and the cyclic collector").
-YOUNG_GC_THRESHOLD = 10_000
-
-
 class StopSimulation(Exception):
     """Raised internally to halt :meth:`Simulation.run` early."""
 
@@ -186,11 +175,13 @@ class Simulation:
         own the minimum, and FIFO entries (time <= now < bucket_end)
         always precede it too.
 
-        While the loop runs, the collector's young-generation threshold is
-        at least :data:`YOUNG_GC_THRESHOLD`; the caller's thresholds come
-        back however the loop ends.  A threshold of 0 (automatic
-        collection off) is left alone, and the collector is never enabled
-        or disabled here.
+        CPython's automatic cyclic collector is paused while the loop runs
+        and turned back on, however the loop ends, only if the caller had
+        it on; thresholds are never touched, and an explicit
+        ``gc.collect()`` still runs.  It is safe because a run allocates no
+        reference cycles: every simulator object dies by reference count,
+        and ``tests/sim/test_acyclic.py`` holds that as a contract.  A
+        cycle that a run does create is held until ``run`` returns.
         """
         stop_event: Event | None = None
         # inf instead of None: one float compare per pop, no None test.
@@ -223,10 +214,8 @@ class Simulation:
         run_idx = cal.run_idx
         far = cal.far
         steps = 0
-        thresholds = gc.get_threshold()
-        if thresholds[0]:
-            gc.set_threshold(max(thresholds[0], YOUNG_GC_THRESHOLD),
-                             *thresholds[1:])
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             while True:
                 if run_idx < len(run):
@@ -273,7 +262,8 @@ class Simulation:
         finally:
             self.events_processed += steps
             cal.run_idx = run_idx
-            gc.set_threshold(*thresholds)
+            if collecting:
+                gc.enable()
         if stop_event is not None and not stop_event.triggered:
             raise RuntimeError(
                 "simulation ran out of events before `until` event fired")

@@ -1,11 +1,11 @@
 """Tests for the discrete-event simulation loop and processes."""
 
 import gc
+import weakref
 
 import pytest
 
 from repro.sim import Interrupt, Simulation
-from repro.sim.core import YOUNG_GC_THRESHOLD
 
 
 def test_clock_starts_at_zero():
@@ -462,28 +462,49 @@ def caller_gc_settings():
     assert gc.isenabled() == enabled
 
 
-@pytest.mark.usefixtures("caller_gc_settings")
-@pytest.mark.parametrize("how", ["drain", "horizon", "event", "failure"])
-@pytest.mark.parametrize("caller", [(500, 11, 12),
-                                    (5 * YOUNG_GC_THRESHOLD, 11, 12)])
-def test_run_raises_young_gc_threshold_and_restores_it(how, caller):
-    gc.set_threshold(*caller)
-    enabled = gc.isenabled()
-    for thresholds, inside_enabled in _run_ending(how):
-        assert thresholds == (max(caller[0], YOUNG_GC_THRESHOLD),
-                              *caller[1:])
-        assert inside_enabled == enabled
-    assert gc.get_threshold() == caller
-    assert gc.isenabled() == enabled
+ENDINGS = ["drain", "horizon", "event", "failure"]
 
 
 @pytest.mark.usefixtures("caller_gc_settings")
-@pytest.mark.parametrize("how", ["drain", "failure"])
-def test_run_leaves_a_zero_gc_threshold_alone(how):
-    # 0 means the caller turned automatic collection off.
-    gc.set_threshold(0, 11, 12)
-    enabled = gc.isenabled()
+@pytest.mark.parametrize("how", ENDINGS)
+def test_run_pauses_the_collector_and_restores_the_callers_settings(how):
+    gc.set_threshold(500, 11, 12)
+    gc.enable()
     for thresholds, inside_enabled in _run_ending(how):
-        assert thresholds == (0, 11, 12)
-        assert inside_enabled == enabled
-    assert gc.get_threshold() == (0, 11, 12)
+        assert not inside_enabled
+        assert thresholds == (500, 11, 12)
+    assert gc.isenabled()
+    assert gc.get_threshold() == (500, 11, 12)
+
+
+@pytest.mark.usefixtures("caller_gc_settings")
+@pytest.mark.parametrize("how", ENDINGS)
+def test_run_leaves_a_disabled_collector_disabled(how):
+    gc.disable()
+    try:
+        for _thresholds, inside_enabled in _run_ending(how):
+            assert not inside_enabled
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.usefixtures("caller_gc_settings")
+def test_explicit_collect_runs_inside_the_loop():
+    sim = Simulation()
+    freed = []
+
+    class Cyclic:
+        pass
+
+    def collector(sim):
+        cyclic = Cyclic()
+        cyclic.self = cyclic
+        watch = weakref.ref(cyclic, lambda _ref: freed.append(sim.now))
+        del cyclic
+        yield sim.timeout(1)
+        gc.collect()
+        yield sim.timeout(1)
+
+    sim.run(until=sim.process(collector(sim)))
+    assert freed == [1.0]
