@@ -15,7 +15,6 @@ import typing
 from repro.chaincode.policy import EndorsementPolicy
 from repro.common.types import (
     Endorsement,
-    ProposalResponse,
     TransactionEnvelope,
     ValidationCode,
 )
@@ -29,12 +28,11 @@ class ESCC:
     def __init__(self, identity: Identity) -> None:
         self._identity = identity
 
-    def endorse(self, response: ProposalResponse) -> Endorsement:
-        """Sign the response bytes as this peer."""
-        signature = self._identity.sign(response.response_bytes())
+    def endorse(self, response_bytes: bytes) -> Endorsement:
+        """Sign a proposal response's bytes as this peer."""
         return Endorsement(endorser=self._identity.name,
                            msp_id=self._identity.msp_id,
-                           signature=signature)
+                           signature=self._identity.sign(response_bytes))
 
 
 class VSCC:

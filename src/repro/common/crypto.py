@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import hmac
+import typing
 
 
 def sha256_hex(data: bytes) -> str:
@@ -42,6 +43,13 @@ class CryptoProvider:
     One provider instance corresponds to one certificate authority's trust
     domain.  All nodes enrolled with that CA share the provider (or an equal
     copy constructed from the same root secret).
+
+    Each subject's HMAC-SHA256 key schedule (RFC 2104: the SHA-256 states
+    after absorbing its key XOR ipad and XOR opad) is built once and cached,
+    because a run computes tens of thousands of MACs under a few dozen keys
+    and a one-shot ``hmac.digest`` rebuilds both states on every call.  A
+    MAC finishes copies of the two states, at about a third of the cost,
+    and is byte-identical to ``hmac.digest``'s.
     """
 
     #: Cap on memoised verification verdicts.  Verification is pure, so a
@@ -52,26 +60,35 @@ class CryptoProvider:
         if not root_secret:
             raise ValueError("root secret must be non-empty")
         self._root_secret = root_secret
-        self._key_cache: dict[str, bytes] = {}
+        self._schedules: dict[str, tuple[typing.Any, typing.Any]] = {}
         self._verify_cache: dict[tuple[Signature, bytes], bool] = {}
 
     def derive_key(self, subject: str) -> bytes:
         """The signing key for ``subject`` (deterministic)."""
-        key = self._key_cache.get(subject)
-        if key is None:
-            # hmac.digest is the one-shot C fast path (no streaming HMAC
-            # object); byte-identical output to hmac.new(...).digest().
-            key = hmac.digest(self._root_secret, subject.encode("utf-8"),
-                              "sha256")
-            self._key_cache[subject] = key
-        return key
+        return hmac.digest(self._root_secret, subject.encode("utf-8"),
+                           "sha256")
+
+    def _mac(self, subject: str, digest: str) -> str:
+        """HMAC-SHA256 of ``digest`` under ``subject``'s key, in hex."""
+        schedule = self._schedules.get(subject)
+        if schedule is None:
+            # The 32-byte key is shorter than SHA-256's 64-byte block, so
+            # RFC 2104 pads it with zeros rather than hashing it first.
+            block = self.derive_key(subject).ljust(64, b"\0")
+            schedule = (hashlib.sha256(bytes(b ^ 0x36 for b in block)),
+                        hashlib.sha256(bytes(b ^ 0x5C for b in block)))
+            self._schedules[subject] = schedule
+        inner = schedule[0].copy()
+        inner.update(digest.encode("utf-8"))
+        outer = schedule[1].copy()
+        outer.update(inner.digest())
+        return outer.hexdigest()
 
     def sign(self, subject: str, message: bytes) -> Signature:
         """Sign ``message`` as ``subject``."""
         digest = sha256_hex(message)
-        mac = hmac.digest(self.derive_key(subject), digest.encode("utf-8"),
-                          "sha256").hex()
-        return Signature(signer=subject, digest=digest, mac=mac)
+        return Signature(signer=subject, digest=digest,
+                         mac=self._mac(subject, digest))
 
     def verify(self, signature: Signature, message: bytes) -> bool:
         """True iff ``signature`` is a valid signature over ``message``.
@@ -80,7 +97,7 @@ class CryptoProvider:
         validate phase, every one of the network's peers verifies the very
         same endorsement signatures — so verdicts are memoised per
         ``(signature, message)`` pair.  A dict probe costs a short-string
-        hash; a miss costs three SHA-256 passes.
+        hash; a miss costs a SHA-256 pass and a MAC.
         """
         cache = self._verify_cache
         key = (signature, message)
@@ -90,10 +107,8 @@ class CryptoProvider:
         if sha256_hex(message) != signature.digest:
             result = False
         else:
-            expected = hmac.digest(self.derive_key(signature.signer),
-                                   signature.digest.encode("utf-8"),
-                                   "sha256").hex()
-            result = hmac.compare_digest(expected, signature.mac)
+            result = hmac.compare_digest(
+                self._mac(signature.signer, signature.digest), signature.mac)
         if len(cache) >= self.VERIFY_CACHE_MAX:
             cache.clear()
         cache[key] = result

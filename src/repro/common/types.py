@@ -109,11 +109,36 @@ class Proposal:
     creator: str
     nonce: int
     tx_size: int = 1  # payload bytes, the paper's "transaction size"
+    #: ``(rwset, payload, signed response bytes)`` of the last successful
+    #: endorsement, reused by an endorser whose simulation agrees.
+    endorsed: tuple[TxReadWriteSet, bytes, bytes] | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def bytes_to_sign(self) -> bytes:
-        return (f"{self.tx_id}|{self.channel}|{self.chaincode}|"
-                f"{self.function}|{','.join(self.args)}|{self.creator}|"
-                f"{self.nonce}").encode("utf-8")
+        """Canonical bytes the client signs (cached; the class is frozen).
+
+        Every field is length-prefixed, and the args are counted, so two
+        distinct proposals never encode alike: ``args=("a,b",)`` differs
+        from ``args=("a", "b")``, whatever characters the fields hold.
+        """
+        cached = self.__dict__.get("_bytes_to_sign")
+        if cached is None:
+            fields = (self.tx_id, self.channel, self.chaincode,
+                      self.function, str(len(self.args)), *self.args,
+                      self.creator, str(self.nonce))
+            cached = "".join(f"{len(field)}:{field}"
+                             for field in fields).encode("utf-8")
+            object.__setattr__(self, "_bytes_to_sign", cached)
+        return cached
+
+    def well_formed(self) -> bool:
+        """Endorsement check 1: the tx id hashes creator and nonce (cached)."""
+        cached = self.__dict__.get("_well_formed")
+        if cached is None:
+            cached = bool(self.tx_id) and self.tx_id == self.compute_tx_id(
+                self.creator, self.nonce)
+            object.__setattr__(self, "_well_formed", cached)
+        return cached
 
     @staticmethod
     def compute_tx_id(creator: str, nonce: int) -> str:
@@ -150,11 +175,18 @@ class ProposalResponse:
         """Canonical bytes signed by ESCC (cached; the class is frozen)."""
         cached = self.__dict__.get("_response_bytes")
         if cached is None:
-            rwset_digest = self.rwset.digest() if self.rwset else "-"
-            cached = (f"{self.tx_id}|{self.status}|{rwset_digest}|"
-                      f"{sha256_hex(self.payload)}").encode("utf-8")
+            cached = response_bytes(self.tx_id, self.status, self.rwset,
+                                    self.payload)
             object.__setattr__(self, "_response_bytes", cached)
         return cached
+
+
+def response_bytes(tx_id: str, status: int, rwset: TxReadWriteSet | None,
+                   payload: bytes) -> bytes:
+    """The bytes ESCC signs for a proposal response with these fields."""
+    rwset_digest = rwset.digest() if rwset else "-"
+    return (f"{tx_id}|{status}|{rwset_digest}|"
+            f"{sha256_hex(payload)}").encode("utf-8")
 
 
 @dataclasses.dataclass

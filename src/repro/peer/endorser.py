@@ -14,7 +14,7 @@ import typing
 from repro.chaincode.base import ChaincodeError, ChaincodeStub
 from repro.chaincode.system import ESCC
 from repro.common.crypto import Signature
-from repro.common.types import Proposal, ProposalResponse
+from repro.common.types import Proposal, ProposalResponse, response_bytes
 from repro.sim.resources import Resource
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -88,8 +88,7 @@ class Endorser:
                         signature: Signature) -> ProposalResponse | None:
         """Checks 1-4 of §II; returns a failure response or None if OK."""
         peer = self._peer
-        if not proposal.tx_id or proposal.tx_id != Proposal.compute_tx_id(
-                proposal.creator, proposal.nonce):
+        if not proposal.well_formed():
             return self._failure(proposal, "malformed proposal")
         ledger = peer.ledger_for(proposal.channel)
         if ledger is None:
@@ -111,7 +110,14 @@ class Endorser:
         return None
 
     def _execute(self, proposal: Proposal) -> ProposalResponse:
-        """Simulate the chaincode against current state; build the response."""
+        """Simulate the chaincode against current state; build the response.
+
+        The chaincode always runs on this peer's own state, so its read
+        cost accrues here.  When the result equals the one an earlier
+        endorser of the proposal produced, the response reuses that rwset
+        object and its signed bytes instead of digesting them again; a
+        different result replaces them on the proposal.
+        """
         peer = self._peer
         chaincode = peer.chaincodes.get(proposal.chaincode)
         ledger = peer.ledger_for(proposal.channel)
@@ -122,14 +128,19 @@ class Endorser:
                                        list(proposal.args))
         except ChaincodeError as error:
             return self._failure(proposal, str(error))
-        response = ProposalResponse(
-            tx_id=proposal.tx_id, endorser=peer.name, status=200,
-            payload=payload, rwset=stub.build_rwset(), endorsement=None)
-        endorsement = self._escc.endorse(response)
+        rwset = stub.build_rwset()
+        endorsed = proposal.endorsed
+        if (endorsed is not None and endorsed[1] == payload
+                and endorsed[0] == rwset):
+            rwset, _, signed = endorsed
+        else:
+            signed = response_bytes(proposal.tx_id, 200, rwset, payload)
+            object.__setattr__(proposal, "endorsed",
+                               (rwset, payload, signed))
         return ProposalResponse(
-            tx_id=response.tx_id, endorser=response.endorser,
-            status=response.status, payload=response.payload,
-            rwset=response.rwset, endorsement=endorsement)
+            tx_id=proposal.tx_id, endorser=peer.name, status=200,
+            payload=payload, rwset=rwset,
+            endorsement=self._escc.endorse(signed))
 
     def _failure(self, proposal: Proposal,
                  message: str) -> ProposalResponse:

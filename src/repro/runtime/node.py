@@ -83,10 +83,10 @@ class NodeBase:
              size: int = 256) -> None:
         """Fire-and-forget send; silently dropped if this node is down."""
         try:
-            self.network.send(Message(source=self.name,
-                                      destination=destination,
-                                      msg_type=msg_type, payload=payload,
-                                      size=size))
+            # Positional: keyword construction of the slotted dataclass
+            # costs about twice as much, once per send.
+            self.network.send(Message(self.name, destination, msg_type,
+                                      payload, size))
         except NodeDownError:
             pass
 

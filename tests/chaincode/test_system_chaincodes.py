@@ -38,7 +38,7 @@ def make_envelope(endorsements, response):
 def test_escc_signature_binds_response_bytes():
     ca, msp, peers = setup()
     response = make_response()
-    endorsement = ESCC(peers["p0"]).endorse(response)
+    endorsement = ESCC(peers["p0"]).endorse(response.response_bytes())
     assert endorsement.endorser == "p0"
     assert msp.verify_signature(endorsement.signature,
                                 response.response_bytes(), "Org1")
@@ -49,7 +49,7 @@ def test_escc_signature_binds_response_bytes():
 def test_vscc_valid_single_endorsement_or_policy():
     ca, msp, peers = setup()
     response = make_response()
-    endorsement = ESCC(peers["p0"]).endorse(response)
+    endorsement = ESCC(peers["p0"]).endorse(response.response_bytes())
     envelope = make_envelope([endorsement], response)
     vscc = VSCC(msp)
     policy = Or([Principal("p0"), Principal("p1")])
@@ -67,7 +67,7 @@ def test_vscc_empty_endorsements_policy_failure():
 def test_vscc_unsatisfied_and_policy():
     ca, msp, peers = setup()
     response = make_response()
-    endorsement = ESCC(peers["p0"]).endorse(response)
+    endorsement = ESCC(peers["p0"]).endorse(response.response_bytes())
     envelope = make_envelope([endorsement], response)
     policy = And([Principal("p0"), Principal("p1")])
     assert VSCC(msp).validate(envelope, policy) is (
@@ -77,7 +77,7 @@ def test_vscc_unsatisfied_and_policy():
 def test_vscc_signer_endorser_mismatch_is_bad_signature():
     ca, msp, peers = setup()
     response = make_response()
-    endorsement = ESCC(peers["p0"]).endorse(response)
+    endorsement = ESCC(peers["p0"]).endorse(response.response_bytes())
     forged = Endorsement(endorser="p1", msp_id="Org1",
                          signature=endorsement.signature)
     envelope = make_envelope([forged], response)
@@ -88,7 +88,7 @@ def test_vscc_signer_endorser_mismatch_is_bad_signature():
 def test_vscc_revoked_endorser_is_bad_signature():
     ca, msp, peers = setup()
     response = make_response()
-    endorsement = ESCC(peers["p0"]).endorse(response)
+    endorsement = ESCC(peers["p0"]).endorse(response.response_bytes())
     envelope = make_envelope([endorsement], response)
     ca.revoke("p0")
     assert VSCC(msp).validate(envelope, Principal("p0")) is (
@@ -98,7 +98,7 @@ def test_vscc_revoked_endorser_is_bad_signature():
 def test_vscc_unknown_msp_domain_is_bad_signature():
     ca, msp, peers = setup()
     response = make_response()
-    endorsement = ESCC(peers["p0"]).endorse(response)
+    endorsement = ESCC(peers["p0"]).endorse(response.response_bytes())
     alien = Endorsement(endorser="p0", msp_id="OrgX",
                         signature=endorsement.signature)
     envelope = make_envelope([alien], response)

@@ -5,15 +5,24 @@ from repro.common.types import ValidationCode
 from tests.client.test_sdk import invoke_sync, tiny_network
 
 
-def test_diverged_endorsements_rejected():
-    # Two endorsing peers with diverged world state produce different
+def test_diverged_endorsements_rejected(monkeypatch):
+    # Endorsing peers with diverged world state produce different
     # read/write sets; the client must refuse to build the envelope.
-    network = tiny_network(policy="AND(1..n)", peers=2)
-    peer_a, peer_b = network.endorsing_peers
-    # Manually diverge peer_b's state for the key the chaincode will read.
+    network = tiny_network(policy="AND(1..n)", peers=3)
+    peer_a, peer_b, peer_c = network.endorsing_peers
+    # Manually diverge peer_c's state for the key the chaincode will read.
     from repro.common.types import KVWrite
 
-    peer_b.ledger.state.apply_write(KVWrite("hot", b"stale"), (5, 5))
+    peer_c.ledger.state.apply_write(KVWrite("hot", b"stale"), (5, 5))
+    transport = network.context.network
+    sent = []
+    send = transport.send
+
+    def recording_send(message):
+        sent.append(message)
+        send(message)
+
+    monkeypatch.setattr(transport, "send", recording_send)
     client = network.clients[0]
     tx_id, outcome = invoke_sync(network, client, "kvstore", "update",
                                  ["hot", "new"])
@@ -21,6 +30,21 @@ def test_diverged_endorsements_rejected():
     record = network.metrics.records[tx_id]
     assert record.broadcast is None
     assert record.rejected is not None
+    # The agreeing endorsers share one rwset and sign the same bytes; the
+    # diverged one carries its own.  Each signature is over its response.
+    responses = {message.source: message.payload for message in sent
+                 if message.msg_type == "proposal_response"}
+    first, second, diverged = (responses[peer.name] for peer in
+                               (peer_a, peer_b, peer_c))
+    assert first.rwset is second.rwset
+    assert diverged.rwset != first.rwset
+    assert first.response_bytes() == second.response_bytes()
+    assert diverged.response_bytes() != first.response_bytes()
+    for response in (first, second, diverged):
+        signature = response.endorsement.signature
+        assert signature.signer == response.endorser
+        assert network.msp.verify_signature(
+            signature, response.response_bytes(), "Org1")
 
 
 def test_late_proposal_response_after_timeout_is_dropped():

@@ -1,5 +1,8 @@
 """Tests for the symmetric-PKI crypto provider."""
 
+import dataclasses
+import hmac
+
 import pytest
 
 from repro.common.crypto import CryptoProvider, Signature, sha256_hex
@@ -66,3 +69,21 @@ def test_signature_requires_signer():
 def test_sha256_hex_known_value():
     assert sha256_hex(b"") == (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+
+
+@pytest.mark.parametrize("subject", [
+    "peer0", "client.org1.example.com", "s" * 200, "pèer-ørg-节点"])
+def test_mac_equals_the_stdlib_hmac(subject):
+    # sign() finishes a cached key schedule; hmac.digest is the reference.
+    crypto = CryptoProvider(b"root")
+    for message in (b"", b"message", bytes(range(256)) * 2):
+        first = crypto.sign(subject, message)
+        again = crypto.sign(subject, message)  # schedule now cached
+        expected = hmac.digest(crypto.derive_key(subject),
+                               sha256_hex(message).encode(), "sha256").hex()
+        assert first.mac == again.mac == expected
+        assert crypto.verify(again, message)
+        assert not crypto.verify(again, message + b"x")
+        flipped = format(int(again.mac[-1], 16) ^ 1, "x")
+        forged = dataclasses.replace(again, mac=again.mac[:-1] + flipped)
+        assert not crypto.verify(forged, message)

@@ -98,3 +98,20 @@ def test_proposal_bytes_to_sign_distinct_per_field():
     changed = Proposal(tx_id="t", channel="ch", chaincode="cc", function="g",
                        args=("1",), creator="c", nonce=7)
     assert base.bytes_to_sign() != changed.bytes_to_sign()
+    # Pairs that a separator-joined encoding signs alike: a re-split
+    # argument, a separator moved between two fields, no args vs one
+    # empty arg.
+    colliding = [
+        ({"args": ("a,b",)}, {"args": ("a", "b")}),
+        ({"chaincode": "cc|f", "function": "g"},
+         {"chaincode": "cc", "function": "f|g"}),
+        ({"channel": "ch|cc", "chaincode": "f"},
+         {"channel": "ch", "chaincode": "cc|f"}),
+        ({"args": ()}, {"args": ("",)}),
+    ]
+    fields = dict(tx_id="t", channel="ch", chaincode="cc", function="f",
+                  args=("1",), creator="c", nonce=7)
+    for first, second in colliding:
+        one = Proposal(**{**fields, **first})
+        other = Proposal(**{**fields, **second})
+        assert one.bytes_to_sign() != other.bytes_to_sign(), (first, second)

@@ -49,6 +49,18 @@ def test_bad_client_signature_rejected():
     assert "signature" in response.message
 
 
+def test_resplit_args_rejected_under_the_original_signature():
+    # Same creator and nonce, so the same tx id: only the signed bytes can
+    # tell key "a,b" with value "v" from key "a" with value "b,v".
+    rig = PeerRig()
+    signed = make_proposal(rig, args=("a,b", "v"))
+    resplit = make_proposal(rig, args=("a", "b,v"))
+    signature = rig.client_identity.sign(signed.bytes_to_sign())
+    response = rig.endorse_sync(rig.peers[0], resplit, signature=signature)
+    assert not response.ok
+    assert response.message == "bad client signature"
+
+
 def test_unauthorized_creator_rejected():
     rig = PeerRig()
     intruder = rig.ca.enroll("intruder", __import__(
