@@ -1,8 +1,8 @@
 """Flow-aware simlint rules SL011–SL016.
 
 These rules run on the CFG/dataflow layer (:mod:`.cfg`, :mod:`.dataflow`)
-and — for the cross-file ones — on the project symbol table and call
-graph (:mod:`.project`, :mod:`.callgraph`):
+and — for the cross-file ones — on the project symbol table and its
+call resolution (:mod:`.project`):
 
 ========  ==========================================================
 SL011     a ``request()``/``acquire()``d resource slot not released
@@ -32,7 +32,6 @@ from __future__ import annotations
 import ast
 import typing
 
-from repro.analysis_tools.simlint.callgraph import resolve_call
 from repro.analysis_tools.simlint.cfg import CFG, CFGNode, build_cfg
 from repro.analysis_tools.simlint.dataflow import (
     EMPTY,
@@ -607,7 +606,7 @@ class UnyieldedCoroutineRule(ProjectRule):
                     "is discarded unrun, a silent no-op; drive it with "
                     "yield from")
             return
-        resolved = resolve_call(project, module, info, call)
+        resolved = project.resolve_call(module, info, call)
         if resolved is None:
             return
         callee, confidence = resolved
@@ -843,7 +842,7 @@ class DeterminismTaintRule(ProjectRule):
             arg_labels = [
                 self._origins(arg, env, project, module, info, summaries)
                 for arg in expr.args]
-            resolved = resolve_call(project, module, info, expr)
+            resolved = project.resolve_call(module, info, expr)
             if resolved is not None:
                 callee, _conf = resolved
                 summary = summaries.get(callee.qualname)
@@ -900,7 +899,7 @@ class DeterminismTaintRule(ProjectRule):
                             "depends on the host — draw from the seeded "
                             "RngRegistry or pass simulated time"))
             return
-        resolved = resolve_call(project, module, info, call)
+        resolved = project.resolve_call(module, info, call)
         if resolved is None:
             return
         callee, _conf = resolved

@@ -204,6 +204,47 @@ class ProjectContext:
             queue.extend((base_module, base) for base in cls.bases)
         return None
 
+    def resolve_call(self, module: ModuleInfo, caller: FunctionInfo,
+                     call: ast.Call) -> tuple[FunctionInfo, str] | None:
+        """Resolve one call in ``caller`` to ``(callee, confidence)``.
+
+        Calls resolve syntactically, in three confidence tiers:
+
+        1. **direct** — a bare-name call to a function defined in (or
+           imported into) the caller's module, or a module-qualified
+           ``helpers.f(...)`` via ``import helpers``;
+        2. **method** — a ``self.m(...)`` / ``cls.m(...)`` call resolved
+           through the enclosing class and its named bases;
+        3. **unique** — an ``obj.m(...)`` attribute call whose name has
+           exactly one definition in the whole project (good enough for
+           the simulator's helper naming; anything ambiguous stays
+           unresolved, None, rather than wrong).
+        """
+        func = call.func
+        if isinstance(func, ast.Name):
+            info = self.resolve_name(module, func.id)
+            return (info, "direct") if info is not None else None
+        if not isinstance(func, ast.Attribute):
+            return None
+        receiver = func.value
+        if (isinstance(receiver, ast.Name)
+                and receiver.id in ("self", "cls")
+                and caller.cls is not None):
+            info = self.resolve_method(module, caller.cls, func.attr)
+            if info is not None:
+                return info, "method"
+        if isinstance(receiver, ast.Name):
+            target = module.imports.get(receiver.id)
+            mod = self.modules.get(target) if target is not None else None
+            if mod is not None:
+                info = mod.functions.get(func.attr)
+                if info is not None:
+                    return info, "direct"
+        # A unique module-level function called through an attribute is
+        # almost always the same function re-exported.
+        info = self.unique_by_name(func.attr)
+        return (info, "unique") if info is not None else None
+
     def _find_class(self, module: ModuleInfo,
                     name: str) -> ClassInfo | None:
         tail = name.split(".")[-1]

@@ -487,7 +487,7 @@ class StateDBInternalsRule(Rule):
     The pluggable backends (``statedb/``) meter every data operation with
     a simulated cost; code that reaches around the
     :class:`~repro.statedb.backend.StateBackend` interface — touching the
-    raw ``WorldState`` dict, the prefetch buffer, or the accrued-cost
+    raw entry dict or key index, the prefetch buffer, or the accrued-cost
     accumulator — reads or writes state *for free*, which silently breaks
     both the cost model and the cache-coherence invariants.  Only the
     ``ledger/`` and ``statedb/`` packages may touch these attributes.
@@ -497,9 +497,9 @@ class StateDBInternalsRule(Rule):
     severity = Severity.ERROR
     description = "state-database internals accessed outside the ledger"
     allowlist_prefixes = ("ledger/", "statedb/")
-    #: The private attributes that make up the backend/world-state rep.
+    #: The private attributes that make up the backend's representation.
     _internals = frozenset({
-        "_data", "_sorted_keys", "_store", "_prefetched", "_pending_cost"})
+        "_data", "_sorted_keys", "_prefetched", "_pending_cost"})
 
     def check(self, context: FileContext) -> typing.Iterator[Diagnostic]:
         if context.relpath.startswith(self.allowlist_prefixes):

@@ -16,7 +16,7 @@ import typing
 from repro.common.types import KVRead, KVWrite, TxReadWriteSet
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.ledger.statedb import WorldState
+    from repro.statedb.backend import StateBackend
 
 
 class ChaincodeError(Exception):
@@ -26,7 +26,8 @@ class ChaincodeError(Exception):
 class ChaincodeStub:
     """Records reads and buffers writes for one chaincode invocation."""
 
-    def __init__(self, state: "WorldState", tx_id: str, creator: str) -> None:
+    def __init__(self, state: "StateBackend", tx_id: str,
+                 creator: str) -> None:
         self._state = state
         self.tx_id = tx_id
         self.creator = creator

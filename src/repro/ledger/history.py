@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.ledger.statedb import CommittedWrite
+from repro.statedb.backend import CommittedWrite
 
 
 class HistoryEntry(typing.NamedTuple):

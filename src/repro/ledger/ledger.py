@@ -16,16 +16,10 @@ from repro.common.errors import ValidationError
 from repro.common.types import Block, ValidationCode
 from repro.ledger.blockchain import BlockStore
 from repro.ledger.history import HistoryDB
-from repro.ledger.statedb import CommittedWrite, committed_write
-from repro.statedb.backend import StateBackend
+from repro.runtime.costs import CostModel
+from repro.statedb.backend import CommittedWrite, StateBackend, committed_write
+from repro.statedb.leveldb import LevelDBBackend
 from repro.statedb.snapshot import Snapshot
-
-
-def _default_backend() -> StateBackend:
-    from repro.runtime.costs import CostModel
-    from repro.statedb.leveldb import LevelDBBackend
-
-    return LevelDBBackend(CostModel())
 
 
 class CommitPlan(typing.NamedTuple):
@@ -72,7 +66,8 @@ class Ledger:
                  backend: StateBackend | None = None) -> None:
         self.channel = channel
         self.blocks = BlockStore(channel)
-        self.state = backend if backend is not None else _default_backend()
+        self.state = (backend if backend is not None
+                      else LevelDBBackend(CostModel()))
         self.history = HistoryDB()
         # One record per block of the chain: a replay from genesis
         # replays the (empty) genesis block too.

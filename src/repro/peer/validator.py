@@ -97,8 +97,6 @@ class BlockValidator:
         self.blocks_validated = 0
         self.blocks_dropped = 0
         self.redelivery_requests = 0
-        self.txs_valid = 0
-        self.txs_invalid = 0
 
     @property
     def backlog(self) -> int:
@@ -266,10 +264,6 @@ class BlockValidator:
             yield from peer.charge_statedb(backend.drain_cost(), "commit")
             self.blocks_validated += 1
             for envelope, flag in zip(block.transactions, final_flags):
-                if flag is ValidationCode.VALID:
-                    self.txs_valid += 1
-                else:
-                    self.txs_invalid += 1
                 peer.notify_commit(envelope.tx_id, flag)
             interval = peer.statedb_config.snapshot_interval
             if interval > 0 and self.ledger.height % interval == 0:

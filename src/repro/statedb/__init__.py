@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.common.config import StateDBConfig
 from repro.runtime.costs import CostModel
-from repro.statedb.backend import BackendStats, StateBackend
+from repro.statedb.backend import BackendStats, StateBackend, VersionedValue
 from repro.statedb.cache import ReadCache
 from repro.statedb.couchdb import CouchDBBackend
 from repro.statedb.leveldb import LevelDBBackend
@@ -25,6 +25,7 @@ __all__ = [
     "Snapshot",
     "SnapshotManifest",
     "StateBackend",
+    "VersionedValue",
     "build_backend",
 ]
 

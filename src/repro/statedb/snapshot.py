@@ -13,7 +13,6 @@ import dataclasses
 
 from repro.common.crypto import sha256_hex
 from repro.common.types import Version
-from repro.ledger.statedb import WorldState
 
 #: Approximate serialized overhead per entry beyond key and value bytes
 #: (version tuple, length prefixes).
@@ -38,7 +37,7 @@ Entry = tuple[str, tuple[bytes, Version]]
 class Snapshot:
     """A manifest plus the frozen state entries, in key order.
 
-    The entries hold the world state's stored ``(value, version)``
+    The entries hold the state backend's stored ``(value, version)``
     tuples, which the cyclic garbage collector stops tracking.  Peers
     whose states are equal at a height share one snapshot (see
     :func:`take`).
@@ -55,16 +54,16 @@ def state_hash(entries: tuple[Entry, ...]) -> str:
     return sha256_hex("|".join(parts).encode("utf-8"))
 
 
-def take(state: WorldState, height: int,
+def take(entries: tuple[Entry, ...], height: int,
          shared: Snapshot | None = None) -> Snapshot:
-    """Snapshot ``state`` as of ``height`` committed blocks.
+    """Snapshot a state's key-ordered ``entries`` as of ``height``
+    committed blocks.
 
     Returns ``shared`` itself when it was taken at ``height`` of a state
-    whose entries equal ``state``'s: peers that commit the same plans
+    whose entries equal ``entries``: peers that commit the same plans
     store the same entry tuples, so the comparison is mostly identity
     tests, and only the first such peer hashes the state.
     """
-    entries = tuple(state.items())
     if (shared is not None and shared.manifest.height == height
             and shared.entries == entries):
         return shared

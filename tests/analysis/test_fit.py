@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.fit import CostFit, ServiceMoments
 from repro.common.config import StateDBConfig
 from repro.common.types import KVWrite
-from repro.ledger.statedb import committed_write
+from repro.statedb.backend import committed_write
 from repro.runtime.costs import CostModel
 from repro.statedb import build_backend
 

@@ -1,9 +1,9 @@
-"""Tests for the project symbol table, call graph, and cross-file rules."""
+"""Tests for the project symbol table, call resolution, and cross-file
+rules."""
 
 import ast
 import textwrap
 
-from repro.analysis_tools.simlint.callgraph import build_call_graph
 from repro.analysis_tools.simlint.engine import FileContext
 from repro.analysis_tools.simlint.flow_rules import (
     DeterminismTaintRule,
@@ -106,7 +106,7 @@ def test_method_resolution_walks_named_bases():
 
 
 # ----------------------------------------------------------------------
-# Call graph
+# Call resolution
 # ----------------------------------------------------------------------
 
 def test_call_graph_edges_direct_and_method():
@@ -121,24 +121,17 @@ def test_call_graph_edges_direct_and_method():
             def run(self):
                 helper()
                 self.step()
+                unknown()
     """))
-    graph = build_call_graph(project)
-    assert graph.callees("peer.x.Worker.run") == [
-        "peer.x.Worker.step", "peer.x.helper"]
-    assert graph.callers["peer.x.helper"] == ["peer.x.Worker.run"]
+    module = project.modules["peer.x"]
+    caller = project.functions["peer.x.Worker.run"]
 
+    def resolve(call):
+        found = project.resolve_call(module, caller, call)
+        return found and (found[0].qualname, found[1])
 
-def test_call_graph_is_deterministic():
-    contexts = [ctx("a/m.py", """
-        def f():
-            g()
-
-        def g():
-            f()
-    """)]
-    edges = [build_call_graph(project_of(*contexts)).edges
-             for _ in range(2)]
-    assert edges[0] == edges[1]
+    assert [resolve(node.value) for node in caller.node.body] == [
+        ("peer.x.helper", "direct"), ("peer.x.Worker.step", "method"), None]
 
 
 # ----------------------------------------------------------------------

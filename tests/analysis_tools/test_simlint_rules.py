@@ -328,7 +328,7 @@ def test_sl008_quiet_on_constants_and_dunders():
     LIMIT = 16
     NAMES = ("x", "y")
     """
-    assert rules_fired(source, relpath="ledger/statedb.py") == []
+    assert rules_fired(source, relpath="ledger/ledger.py") == []
 
 
 def test_sl008_quiet_on_class_attributes():
@@ -396,7 +396,7 @@ def test_sl010_fires_on_raw_world_state_access():
 
 
 def test_sl010_fires_on_each_backend_internal():
-    for attr in ("_store", "_prefetched", "_pending_cost", "_sorted_keys"):
+    for attr in ("_prefetched", "_pending_cost", "_sorted_keys"):
         assert rules_fired(f"x = backend.{attr}\n") == ["SL010"], attr
 
 
@@ -406,7 +406,7 @@ def test_sl010_fires_on_writes_too():
 
 def test_sl010_quiet_inside_ledger_and_statedb_packages():
     assert rules_fired("self._data[key] = value\n",
-                       relpath="ledger/statedb.py") == []
+                       relpath="ledger/ledger.py") == []
     assert rules_fired("cost = self._pending_cost\n",
                        relpath="statedb/backend.py") == []
 

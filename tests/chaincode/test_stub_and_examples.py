@@ -12,15 +12,22 @@ from repro.chaincode import (
 )
 from repro.chaincode.base import ChaincodeStub
 from repro.common.types import KVWrite
-from repro.ledger import WorldState
+from repro.runtime.costs import CostModel
+from repro.statedb import LevelDBBackend
+
+
+def new_state():
+    return LevelDBBackend(CostModel())
 
 
 def make_stub(state=None):
-    return ChaincodeStub(state or WorldState(), tx_id="t1", creator="c")
+    # An empty backend is falsy (it has a length), so test for None.
+    return ChaincodeStub(state if state is not None else new_state(),
+                         tx_id="t1", creator="c")
 
 
 def seeded_state(**kv):
-    state = WorldState()
+    state = new_state()
     for key, value in kv.items():
         state.apply_write(KVWrite(key, value), version=(1, 0))
     return state
@@ -69,7 +76,7 @@ def test_stub_read_after_delete_sees_absent():
 
 
 def test_stub_writes_do_not_touch_state():
-    state = WorldState()
+    state = new_state()
     stub = make_stub(state)
     stub.put_state("k", b"v")
     assert state.get("k") is None
@@ -123,7 +130,7 @@ def test_noop_rejects_unknown_function():
 
 def test_kvstore_put_get_roundtrip_via_commit():
     chaincode = KVStoreChaincode()
-    state = WorldState()
+    state = new_state()
     stub = make_stub(state)
     chaincode.invoke(stub, "put", ["k", "hello"])
     state.apply_writes(stub.build_rwset().writes, version=(1, 0))
@@ -178,7 +185,7 @@ def test_money_transfer_rejects_bad_amounts():
 
 def test_money_open_and_query():
     chaincode = MoneyTransferChaincode()
-    state = WorldState()
+    state = new_state()
     stub = make_stub(state)
     chaincode.invoke(stub, "open", ["carol", "500"])
     state.apply_writes(stub.build_rwset().writes, version=(1, 0))

@@ -18,7 +18,11 @@ def test_rate_grids_cover_saturation():
     assert min(RATE_GRIDS["full"]) <= 100
 
 
-def test_sweep_points_are_cached_across_figures():
+def test_sweep_points_are_cached_across_figures(monkeypatch):
+    # One short rate keeps this a test of the cache, not of the sweep;
+    # the paper-figure sweeps run in benchmarks/.
+    monkeypatch.setitem(RATE_GRIDS, "quick", [100.0])
+    monkeypatch.setitem(DURATIONS, "quick", 4.0)
     _cached_point.cache_clear()
     run_fig2_fig3(mode="quick", seed=99)
     first_info = _cached_point.cache_info()

@@ -112,7 +112,7 @@ def test_ledger_records_stay_out_of_the_cyclic_collector():
     # tuples (snapshot entry -> state entry -> version): two more passes.
     gc.collect()
     gc.collect()
-    state = ledger.state._store._data
+    state = ledger.state._data
     assert len(state) == 5
     for entry in state.values():
         assert not gc.is_tracked(entry)
@@ -138,7 +138,7 @@ def test_ledgers_committing_one_block_with_equal_flags_share_entries():
     valid = [ValidationCode.VALID] * 2
     ledgers[0].commit_block(block, valid)
     ledgers[1].commit_block(block, list(valid))
-    stores = [ledger.state._store._data for ledger in ledgers]
+    stores = [ledger.state._data for ledger in ledgers]
     assert stores[0]["a"] is stores[1]["a"]
     assert stores[0]["b"] is stores[1]["b"]
     # Different flags: its own entries, and only its own valid writes.

@@ -1,17 +1,22 @@
-"""Tests for the versioned world state."""
+"""Tests for the versioned world state held by a state backend."""
 
 from repro.common.types import KVWrite
-from repro.ledger import WorldState
+from repro.runtime.costs import CostModel
+from repro.statedb import LevelDBBackend
+
+
+def new_state() -> LevelDBBackend:
+    return LevelDBBackend(CostModel())
 
 
 def test_get_absent_key_is_none():
-    state = WorldState()
+    state = new_state()
     assert state.get("missing") is None
     assert state.get_version("missing") is None
 
 
 def test_apply_write_sets_value_and_version():
-    state = WorldState()
+    state = new_state()
     state.apply_write(KVWrite("k", b"v"), version=(3, 7))
     entry = state.get("k")
     assert entry.value == b"v"
@@ -20,7 +25,7 @@ def test_apply_write_sets_value_and_version():
 
 
 def test_overwrite_bumps_version():
-    state = WorldState()
+    state = new_state()
     state.apply_write(KVWrite("k", b"v1"), version=(1, 0))
     state.apply_write(KVWrite("k", b"v2"), version=(2, 5))
     assert state.get("k").value == b"v2"
@@ -28,7 +33,7 @@ def test_overwrite_bumps_version():
 
 
 def test_delete_removes_key():
-    state = WorldState()
+    state = new_state()
     state.apply_write(KVWrite("k", b"v"), version=(1, 0))
     state.apply_write(KVWrite("k", b"", is_delete=True), version=(2, 0))
     assert state.get("k") is None
@@ -36,13 +41,13 @@ def test_delete_removes_key():
 
 
 def test_delete_of_absent_key_is_noop():
-    state = WorldState()
+    state = new_state()
     state.apply_write(KVWrite("k", b"", is_delete=True), version=(1, 0))
     assert len(state) == 0
 
 
 def test_apply_writes_batch():
-    state = WorldState()
+    state = new_state()
     state.apply_writes([KVWrite("a", b"1"), KVWrite("b", b"2")],
                        version=(1, 0))
     assert len(state) == 2
@@ -50,7 +55,7 @@ def test_apply_writes_batch():
 
 
 def test_range_scan_half_open_sorted():
-    state = WorldState()
+    state = new_state()
     for key in ["a", "b", "c", "d"]:
         state.apply_write(KVWrite(key, key.encode()), version=(1, 0))
     scanned = state.range_scan("b", "d")
@@ -58,7 +63,7 @@ def test_range_scan_half_open_sorted():
 
 
 def test_range_scan_boundaries_are_start_inclusive_end_exclusive():
-    state = WorldState()
+    state = new_state()
     for key in ["a", "b", "c", "d"]:
         state.apply_write(KVWrite(key, key.encode()), version=(1, 0))
     # Boundaries that are not present keys still bracket correctly.
@@ -70,7 +75,7 @@ def test_range_scan_boundaries_are_start_inclusive_end_exclusive():
 
 
 def test_range_scan_reflects_deletes():
-    state = WorldState()
+    state = new_state()
     for key in ["a", "b", "c"]:
         state.apply_write(KVWrite(key, b"v"), version=(1, 0))
     state.apply_write(KVWrite("b", b"", is_delete=True), version=(2, 0))
@@ -81,14 +86,14 @@ def test_range_scan_reflects_deletes():
 
 
 def test_keys_sorted():
-    state = WorldState()
+    state = new_state()
     for key in ["z", "a", "m"]:
         state.apply_write(KVWrite(key, b"v"), version=(1, 0))
     assert state.keys() == ["a", "m", "z"]
 
 
 def test_contains_and_len():
-    state = WorldState()
+    state = new_state()
     state.apply_write(KVWrite("k", b"v"), version=(1, 0))
     assert "k" in state
     assert len(state) == 1

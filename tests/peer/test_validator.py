@@ -23,7 +23,7 @@ def test_valid_block_commits_and_updates_state():
     commit_and_run(rig, peer, make_signed_block(rig, peer, [envelope]))
     assert peer.ledger.height == 2
     assert peer.ledger.state.get("k1").value == b"hello"
-    assert peer.validator.txs_valid == 1
+    assert peer.ledger.valid_tx_count == 1
 
 
 def test_unendorsed_transaction_flagged_policy_failure():
@@ -35,7 +35,7 @@ def test_unendorsed_transaction_flagged_policy_failure():
     assert block.metadata.validation_flags == [
         ValidationCode.ENDORSEMENT_POLICY_FAILURE]
     assert peer.ledger.state.get("k1") is None
-    assert peer.validator.txs_invalid == 1
+    assert peer.ledger.invalid_tx_count == 1
 
 
 def test_and_policy_requires_all_endorsers():
@@ -327,8 +327,6 @@ def test_each_peer_commits_its_own_verdicts_for_a_shared_block():
     peer0.validator.submit_block(block)
     peer1.validator.submit_block(block)
     rig.sim.run()
-    assert peer0.validator.txs_valid == 1
-    assert peer1.validator.txs_invalid == 1
     assert (peer0.ledger.valid_tx_count, peer0.ledger.invalid_tx_count) == (
         1, 0)
     assert (peer1.ledger.valid_tx_count, peer1.ledger.invalid_tx_count) == (

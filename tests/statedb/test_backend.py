@@ -1,18 +1,23 @@
 """Tests for the pluggable state-database backends and their cost models."""
 
+import ast
+import pathlib
+
 import pytest
 
+import repro.statedb
 from repro.common.config import StateDBConfig
 from repro.common.errors import ConfigurationError
 from repro.common.types import KVWrite
-from repro.ledger.statedb import committed_write
 from repro.runtime.costs import CostModel
 from repro.statedb import (
     CouchDBBackend,
     LevelDBBackend,
     ReadCache,
+    VersionedValue,
     build_backend,
 )
+from repro.statedb.backend import committed_write
 
 COSTS = CostModel()
 
@@ -155,6 +160,29 @@ def test_commit_of_delete_leaves_negative_cache_entry():
     assert backend.stats.deletes == 1
 
 
+def test_cache_and_prefetch_hold_the_stored_entry():
+    # One entry format from store to cache: the cache and the prefetch
+    # buffer keep the very (value, version) tuple the commit stored, and
+    # only the reads that return a value wrap it.
+    backend = couchdb(cache=ReadCache(8), bulk=True)
+    seed(backend, "a", "b")
+    backend.get("a")
+    batch = committed([(KVWrite("a", b"1"), (2, 0)),
+                       (KVWrite("b", b"2"), (2, 1))])
+    backend.commit_batch(batch)
+    stored_a, stored_b = batch[0][1], batch[1][1]
+    assert backend._data["a"] is stored_a
+    assert backend.cache.lookup("a") is stored_a
+    backend.bulk_get(["a", "b"])
+    assert backend._prefetched["a"] is stored_a
+    assert backend._prefetched["b"] is stored_b
+    assert backend.cache.lookup("b") is stored_b
+    for read in (backend.get("b"), backend.peek("b")):
+        assert type(read) is VersionedValue
+        assert read == stored_b
+    assert backend.get_version("a") == (2, 0)
+
+
 # ----------------------------------------------------------------------
 # Bulk reads
 # ----------------------------------------------------------------------
@@ -266,3 +294,25 @@ def test_wipe_drops_store_prefetch_and_cache():
     assert len(backend) == 0
     assert backend.get("a") is None
     assert backend.pending_cost > 0     # miss again: nothing was retained
+
+
+# ----------------------------------------------------------------------
+# Layering
+# ----------------------------------------------------------------------
+
+def test_statedb_imports_nothing_from_the_ledger():
+    # The ledger builds on the state backend, never the other way round.
+    package = pathlib.Path(repro.statedb.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if name == "repro.ledger"
+                      or name.startswith("repro.ledger.")]
+    assert found == []

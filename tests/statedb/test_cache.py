@@ -1,18 +1,18 @@
 """Tests for the versioned read cache (deterministic LRU)."""
 
-from repro.ledger.statedb import VersionedValue
 from repro.statedb import ReadCache
 
 
-def vv(value: bytes, version=(1, 0)) -> VersionedValue:
-    return VersionedValue(value, version)
+def vv(value: bytes, version=(1, 0)):
+    """A stored ``(value, version)`` entry, as the cache holds it."""
+    return (value, version)
 
 
 def test_insert_then_lookup():
     cache = ReadCache(capacity=4)
     cache.insert("k", vv(b"v"))
     assert "k" in cache
-    assert cache.lookup("k").value == b"v"
+    assert cache.lookup("k") == (b"v", (1, 0))
     assert len(cache) == 1
 
 
@@ -39,7 +39,7 @@ def test_update_if_present_writes_through_without_recency_bump():
     cache.insert("a", vv(b"1"))
     cache.insert("b", vv(b"2"))
     cache.update_if_present("a", vv(b"new", (2, 0)))
-    assert cache.lookup("a").value == b"new"
+    assert cache.lookup("a") == (b"new", (2, 0))
     # An update of an absent key does not populate the cache.
     cache.update_if_present("z", vv(b"ignored"))
     assert "z" not in cache

@@ -58,8 +58,9 @@ def chain(length):
 
 def fresh_manifest(ledger):
     """The manifest of a snapshot built from scratch of ``ledger``'s
-    state, bypassing the block's cached one."""
-    return snapshot.take(ledger.state._store, ledger.height).manifest
+    state, bypassing the block's cached one and the key index."""
+    entries = tuple(sorted(ledger.state._data.items()))
+    return snapshot.take(entries, ledger.height).manifest
 
 
 # ----------------------------------------------------------------------
@@ -134,11 +135,14 @@ def test_rebuild_state_from_snapshot_replays_only_the_tail():
     commit(ledger, "d")                 # height 5
     expected_hash = ledger.state.state_hash()
     ledger.state.drain_cost()
+    commit_batches = ledger.state.stats.commit_batches
 
     snapshot_height, replayed = ledger.rebuild_state()
     assert (snapshot_height, replayed) == (3, 2)
     assert ledger.state.state_hash() == expected_hash
     assert ledger.state.stats.replayed_blocks == 2
+    # A replay is not a live commit batch.
+    assert ledger.state.stats.commit_batches == commit_batches
     assert ledger.state.pending_cost > 0    # restore + replay were charged
 
 
