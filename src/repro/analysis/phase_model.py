@@ -51,7 +51,7 @@ from repro.analysis.workload import (
     offered_rate,
     resolve_demands,
 )
-from repro.common.config import TopologyConfig, WorkloadConfig
+from repro.common.config import LoadSlice, TopologyConfig, WorkloadConfig
 from repro.metrics.stats import lognormal_quantile
 from repro.runtime.costs import CostModel
 
@@ -300,11 +300,15 @@ class PhaseModel:
     def __init__(self, topology: TopologyConfig,
                  workload: WorkloadConfig,
                  costs: CostModel | None = None,
-                 workload_kind: str = "unique") -> None:
+                 workload_kind: str = "unique",
+                 plan: list[LoadSlice] | None = None) -> None:
         self.topology = topology
         self.workload = workload
         self.fit = CostFit(costs, topology.statedb)
-        self.demands = resolve_demands(topology, workload, workload_kind)
+        # ``plan``: the load plan, when the caller built it (see
+        # :func:`~repro.analysis.workload.resolve_demands`).
+        self.demands = resolve_demands(topology, workload, workload_kind,
+                                       plan)
 
     # -- per-channel block cutting --------------------------------------
 

@@ -25,10 +25,12 @@ import typing
 from repro.analysis.phase_model import PhaseModel
 from repro.common.config import (
     ChannelConfig,
+    LoadSlice,
     OrdererConfig,
     StateDBConfig,
     TopologyConfig,
     WorkloadConfig,
+    plan_load,
 )
 
 __all__ = ["PlanOption", "CapacityPlan", "plan_capacity"]
@@ -183,6 +185,8 @@ def plan_capacity(target_tps: float,
                               num_clients=clients)
     evaluated = 0
     closest: PlanOption | None = None
+    # With num_clients fixed, the load plan depends only on the channels.
+    plans: dict[int, list[LoadSlice]] = {}
 
     for peers in sorted(peer_grid):
         for channels in sorted(channel_grid):
@@ -192,8 +196,14 @@ def plan_capacity(target_tps: float,
                     topology = _plan_topology(
                         peers, channels, policy, orderer_kind,
                         statedb_kind, batch_size, batch_timeout)
+                    plan = plans.get(channels)
+                    if plan is None:
+                        topology.validate(workload)
+                        plan = plans[channels] = plan_load(
+                            topology, workload, workload_kind)
                     model = PhaseModel(topology, workload,
-                                       workload_kind=workload_kind)
+                                       workload_kind=workload_kind,
+                                       plan=plan)
                     evaluated += 1
                     peak = model.peak_utilization()
                     if peak > headroom:

@@ -21,7 +21,12 @@ import dataclasses
 import math
 
 from repro.chaincode.policy import EndorsementPolicy, channel_policies
-from repro.common.config import TopologyConfig, WorkloadConfig, plan_load
+from repro.common.config import (
+    LoadSlice,
+    TopologyConfig,
+    WorkloadConfig,
+    plan_load,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,10 +56,20 @@ class ChannelDemand:
 
 def resolve_demands(topology: TopologyConfig,
                     workload: WorkloadConfig,
-                    workload_kind: str = "unique") -> list[ChannelDemand]:
-    """Per-channel demands: the simulator's load plan summed per channel."""
-    topology.validate(workload)
-    plan = plan_load(topology, workload, workload_kind)
+                    workload_kind: str = "unique",
+                    plan: list[LoadSlice] | None = None,
+                    ) -> list[ChannelDemand]:
+    """Per-channel demands: the simulator's load plan summed per channel.
+
+    ``plan`` is ``plan_load(topology, workload, workload_kind)`` built by
+    the caller, which then vouches for the workload; the topology is
+    validated alone.  The capacity planner builds one per channel count.
+    """
+    if plan is None:
+        topology.validate(workload)
+        plan = plan_load(topology, workload, workload_kind)
+    else:
+        topology.validate()
     demands = []
     for channel, policy in channel_policies(topology).items():
         loads = [load for load in plan if load.channel == channel]

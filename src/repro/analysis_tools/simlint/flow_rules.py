@@ -5,8 +5,9 @@ and — for the cross-file ones — on the project symbol table and its
 call resolution (:mod:`.project`):
 
 ========  ==========================================================
-SL011     a ``request()``/``acquire()``d resource slot not released
-          on every path (early return, fall-through, exception)
+SL011     a resource slot taken by ``request()``/``acquire()``/``claim()``
+          not released on every path (early return, fall-through,
+          exception)
 SL012     a generator / kernel sub-generator called without
           ``yield from`` — the body never runs (silent no-op)
 SL013     a tracer span opened but not closed on every path
@@ -72,13 +73,13 @@ def _own_scope_nodes(stmt: ast.stmt) -> typing.Iterator[ast.AST]:
 # ======================================================================
 
 #: Method names that hand out a resource slot.
-ACQUIRE_ATTRS = frozenset({"request", "acquire"})
+ACQUIRE_ATTRS = frozenset({"request", "acquire", "claim"})
 #: Method name that returns a slot.
 RELEASE_ATTR = "release"
 
 
 def _acquired_var(stmt: ast.stmt) -> tuple[str, str] | None:
-    """``(varname, 'request'|'acquire')`` for slot-acquiring assignments."""
+    """``(varname, method)`` for slot-acquiring assignments."""
     if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
             and isinstance(stmt.targets[0], ast.Name)):
         return None
@@ -119,12 +120,14 @@ def _releases_var(stmt: ast.stmt, var: str) -> bool:
     return False
 
 
-def _escapes_var(stmt: ast.stmt, var: str) -> bool:
+def _escapes_var(stmt: ast.stmt, var: str, claimed: bool = False) -> bool:
     """True when ``var`` is used beyond its grant-wait / release.
 
     Passing the request anywhere else (returned, stored, handed to a
     helper) transfers release responsibility out of this function, so
-    tracking stops rather than reporting a false leak.
+    tracking stops rather than reporting a false leak.  A ``claim()``ed
+    request (``claimed``) may also have its attributes read: the claim's
+    own protocol tests ``request.triggered`` to decide whether to wait.
     """
     allowed_loads = 0
     loads = 0
@@ -137,6 +140,10 @@ def _escapes_var(stmt: ast.stmt, var: str) -> bool:
             if (isinstance(node.value, ast.Name)
                     and node.value.id == var):
                 allowed_loads += 1  # the grant wait: ``yield request``
+        elif (claimed and isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == var):
+            allowed_loads += 1  # ``request.triggered`` after a claim
         elif (isinstance(node, ast.Call)
               and isinstance(node.func, ast.Attribute)
               and node.func.attr == RELEASE_ATTR):
@@ -168,6 +175,8 @@ class _HeldSlotsProblem(GenKillProblem):
         self.cfg = cfg
         #: acquire key -> (var, acquire statement node)
         self.acquires: dict[str, tuple[str, CFGNode]] = {}
+        #: Vars assigned from a ``claim()`` (see :func:`_escapes_var`).
+        self.claimed: set[str] = set()
         self._gen: dict[int, State] = {}
         self._kill: dict[int, State] = {}
         for node in cfg.statements():
@@ -178,6 +187,8 @@ class _HeldSlotsProblem(GenKillProblem):
                 key = f"{acquired[0]}:{node.lineno}"
                 self.acquires[key] = (acquired[0], node)
                 self._gen[node.index] = frozenset({key})
+                if acquired[1] == "claim":
+                    self.claimed.add(acquired[0])
         # Kills: any release / escape / reassignment of a tracked var.
         variables = {var for var, _node in self.acquires.values()}
         for node in cfg.statements():
@@ -188,13 +199,17 @@ class _HeldSlotsProblem(GenKillProblem):
                 acquired_here = self._gen.get(node.index, EMPTY)
                 if any(key.startswith(f"{var}:") for key in acquired_here):
                     continue  # the acquiring statement itself
-                if (_releases_var(stmt, var) or _escapes_var(stmt, var)
+                if (_releases_var(stmt, var)
+                        or self.escapes(stmt, var)
                         or _reassigns_var(stmt, var)):
                     killed.update(
                         key for key in self.acquires
                         if key.startswith(f"{var}:"))
             if killed:
                 self._kill[node.index] = frozenset(killed)
+
+    def escapes(self, stmt: ast.stmt, var: str) -> bool:
+        return _escapes_var(stmt, var, var in self.claimed)
 
     def gen(self, node: CFGNode) -> State:
         return self._gen.get(node.index, EMPTY)
@@ -260,7 +275,7 @@ class ResourceLeakRule(Rule):
         # responsibility; don't second-guess its exception windows.
         escaped = {
             var for var, _node in problem.acquires.values()
-            if any(_escapes_var(stmt_node.stmt, var)  # type: ignore[arg-type]
+            if any(problem.escapes(stmt_node.stmt, var)  # type: ignore[arg-type]
                    for stmt_node in cfg.statements())}
         for key in sorted(self.acquire_keys(problem)):
             var, node = problem.acquires[key]
@@ -315,7 +330,7 @@ class BlockingYieldWhileHoldingRule(Rule):
     def _check_function(self, context: FileContext,
                         func: FunctionAst) -> typing.Iterator[Diagnostic]:
         source = ast.dump(func)
-        if "'request'" not in source and "'acquire'" not in source:
+        if not any(f"'{attr}'" in source for attr in ACQUIRE_ATTRS):
             return
         cfg, problem, solution = _held_solution(func)
         if not problem.acquires:

@@ -157,7 +157,7 @@ class UnorderedIterationRule(Rule):
     #: Method calls that (transitively) schedule simulation events.
     _scheduling = frozenset({
         "send", "process", "timeout", "put", "get", "succeed", "fail",
-        "request", "release", "interrupt", "schedule", "_enqueue",
+        "request", "claim", "release", "interrupt", "schedule", "_enqueue",
         "propose", "submit", "broadcast"})
 
     def check(self, context: FileContext) -> typing.Iterator[Diagnostic]:

@@ -10,8 +10,6 @@ rather than in VSCC, lives in :mod:`repro.peer.validator`.)
 
 from __future__ import annotations
 
-import typing
-
 from repro.chaincode.policy import EndorsementPolicy
 from repro.common.types import (
     Endorsement,
@@ -51,26 +49,25 @@ class VSCC:
 
     def validate(self, envelope: TransactionEnvelope,
                  policy: EndorsementPolicy) -> ValidationCode:
-        """Policy verdict for ``envelope``, memoised across the network.
+        """Policy verdict for ``envelope``, memoised on the envelope.
 
         The verdict is a pure function of (envelope, policy, trust state):
         every committing peer re-validates the same envelope against the
         same channel policy under the same shared MSP, so the computation
-        runs once and the other peers hit the
-        :attr:`~repro.msp.msp.MSP.verdict_cache`.  Only the Python-side
-        verdict is deduplicated — each peer still charges its own VSCC CPU
-        cost in the validator, so schedules are untouched.
+        runs once and the other peers read it back from
+        :attr:`~repro.common.types.TransactionEnvelope.verdict`, which
+        keys it on the MSP, the policy and the revocation epoch.  Only
+        the Python-side verdict is shared — each peer still charges its
+        own VSCC CPU cost in the validator, so schedules are untouched.
         """
         msp = self._msp
-        cache = msp.verdict_cache
-        key = (id(envelope), id(policy))
         epoch = msp.revocation_epoch
-        entry = cache.get(key)
-        if (entry is not None and entry[0] is envelope
-                and entry[1] is policy and entry[3] == epoch):
-            return typing.cast(ValidationCode, entry[2])
+        memo = envelope.verdict
+        if (memo is not None and memo[0] is msp and memo[1] is policy
+                and memo[2] == epoch):
+            return memo[3]
         verdict = self._validate_uncached(envelope, policy)
-        cache[key] = (envelope, policy, verdict, epoch)
+        envelope.verdict = (msp, policy, epoch, verdict)
         return verdict
 
     def _validate_uncached(self, envelope: TransactionEnvelope,

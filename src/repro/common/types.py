@@ -201,6 +201,11 @@ class TransactionEnvelope:
     endorsements: tuple[Endorsement, ...]
     response_bytes: bytes
     tx_size: int = 1
+    #: ``(msp, policy, revocation epoch, verdict)`` of the last VSCC
+    #: validation (:meth:`repro.chaincode.system.VSCC.validate`).
+    verdict: tuple[object, object, int, ValidationCode] | None = (
+        dataclasses.field(default=None, init=False, repr=False,
+                          compare=False))
 
     def wire_size(self) -> int:
         """Approximate serialized size in bytes.
@@ -254,9 +259,21 @@ class Block:
             self.data_hash = self.compute_data_hash()
 
     def compute_data_hash(self) -> str:
-        """Digest over the ordered transaction ids and rw-set digests."""
-        parts = [f"{tx.tx_id}:{tx.rwset.digest()}" for tx in self.transactions]
-        return sha256_hex("|".join(parts).encode("utf-8"))
+        """Digest over the ordered transaction ids and rw-set digests.
+
+        Memoised on the ``transactions`` tuple itself, which the memo
+        holds and compares by identity: every peer appending this block
+        checks its hash, and a block whose ``transactions`` is reassigned
+        or replaced computes it afresh.
+        """
+        transactions = self.transactions
+        memo = self.__dict__.get("_data_hash_memo")
+        if memo is not None and memo[0] is transactions:
+            return memo[1]
+        parts = [f"{tx.tx_id}:{tx.rwset.digest()}" for tx in transactions]
+        digest = sha256_hex("|".join(parts).encode("utf-8"))
+        self.__dict__["_data_hash_memo"] = (transactions, digest)
+        return digest
 
     def header_hash(self) -> str:
         """The hash by which the next block references this one."""

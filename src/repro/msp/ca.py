@@ -36,9 +36,9 @@ class CertificateAuthority:
     CA_SUBJECT = "@ca"
 
     #: Process-wide revocation counter, bumped alongside every per-CA
-    #: :attr:`revocation_epoch`.  Verdict caches key on this (one integer
+    #: :attr:`revocation_epoch`.  VSCC verdicts key on this (one integer
     #: read per validate) rather than summing per-CA epochs; a revoke in
-    #: *any* trust domain conservatively invalidates every cache, which
+    #: *any* trust domain conservatively invalidates every verdict, which
     #: is always safe and costs nothing because revocations are rare
     #: (fault-injection scenarios only).
     global_revocation_epoch = 0
@@ -52,8 +52,8 @@ class CertificateAuthority:
         self._serial = 0
         self._issued: dict[str, EnrollmentCertificate] = {}
         self._revoked: set[str] = set()
-        #: Bumped on every revocation; verdict caches keyed on trust state
-        #: (see :attr:`repro.msp.msp.MSP.verdict_cache`) use it to
+        #: Bumped on every revocation; verdicts keyed on trust state
+        #: (see :attr:`repro.msp.msp.MSP.revocation_epoch`) use it to
         #: invalidate without subscribing to individual CRL changes.
         self.revocation_epoch = 0
 

@@ -20,23 +20,16 @@ class MSP:
         self._authorities = {ca.msp_id: ca for ca in authorities}
         # Channel name -> set of subjects authorized to write.
         self._channel_writers: dict[str, set[str]] = {}
-        #: Shared memo for pure verification verdicts computed under this
-        #: trust-domain view (every peer in a network holds the same MSP, so
-        #: deduplicating here turns N-peer re-validation of one envelope into
-        #: one computation).  Entries are keyed by object ids and pin strong
-        #: references to their keys, so an id can never be recycled while its
-        #: entry lives; they also record :attr:`revocation_epoch` at compute
-        #: time, so a revocation invalidates every earlier verdict.
-        self.verdict_cache: dict[tuple[int, int],
-                                 tuple[object, object, object, int]] = {}
 
     @property
     def revocation_epoch(self) -> int:
-        """Trust-state version the verdict cache keys on.
+        """Trust-state version that VSCC verdicts key on (with this MSP
+        and the policy; see :attr:`TransactionEnvelope.verdict
+        <repro.common.types.TransactionEnvelope.verdict>`).
 
         The process-wide counter (one attribute read, no per-CA sum: this
         runs once per VSCC validate) moves at least as often as any of
-        this MSP's own CAs, so cache entries can only be invalidated too
+        this MSP's own CAs, so a verdict can only be recomputed too
         eagerly, never kept too long.
         """
         return CertificateAuthority.global_revocation_epoch

@@ -23,7 +23,9 @@ from repro.chaincode.policy import EndorsementPolicy
 from repro.chaincode.system import VSCC
 from repro.common.types import Block, TransactionEnvelope, ValidationCode
 from repro.ledger.ledger import Ledger
+from repro.obs.tracer import NULL_SPAN
 from repro.sim.core import Process
+from repro.sim.events import Timeout
 from repro.sim.resources import Resource
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -40,36 +42,38 @@ def check_mvcc(ledger: Ledger, block: Block,
     valid transaction in the same block, or if its tx id duplicates a
     committed transaction (§II: MVCC prevents double-spending and replays).
     Returns the final per-transaction flags.
+
+    The backend reads run in block order and, within a transaction, in
+    read-set order, stopping at its first conflict: each one accrues this
+    peer's read cost and touches its cache's LRU order.
     """
+    valid = ValidationCode.VALID
+    conflict = ValidationCode.MVCC_READ_CONFLICT
+    committed = ledger.has_transaction
+    get_version = ledger.state.get_version
     final_flags: list[ValidationCode] = []
     updated_in_block: set[str] = set()
     seen_tx_ids: set[str] = set()
     for envelope, flag in zip(block.transactions, flags):
-        if flag is not ValidationCode.VALID:
+        if flag is not valid:
             final_flags.append(flag)
             continue
-        verdict = _mvcc_verdict(ledger, envelope, updated_in_block,
-                                seen_tx_ids)
-        final_flags.append(verdict)
-        seen_tx_ids.add(envelope.tx_id)
-        if verdict is ValidationCode.VALID:
-            for write in envelope.rwset.writes:
-                updated_in_block.add(write.key)
+        tx_id = envelope.tx_id
+        rwset = envelope.rwset
+        if tx_id in seen_tx_ids or committed(tx_id):
+            flag = ValidationCode.DUPLICATE_TXID
+        else:
+            for read in rwset.reads:
+                key = read.key
+                if (key in updated_in_block
+                        or get_version(key) != read.version):
+                    flag = conflict
+                    break
+        final_flags.append(flag)
+        seen_tx_ids.add(tx_id)
+        if flag is valid:
+            updated_in_block.update([write.key for write in rwset.writes])
     return final_flags
-
-
-def _mvcc_verdict(ledger: Ledger, envelope: TransactionEnvelope,
-                  updated_in_block: set[str],
-                  seen_tx_ids: set[str]) -> ValidationCode:
-    if (envelope.tx_id in seen_tx_ids
-            or ledger.has_transaction(envelope.tx_id)):
-        return ValidationCode.DUPLICATE_TXID
-    for read in envelope.rwset.reads:
-        if read.key in updated_in_block:
-            return ValidationCode.MVCC_READ_CONFLICT
-        if ledger.state.get_version(read.key) != read.version:
-            return ValidationCode.MVCC_READ_CONFLICT
-    return ValidationCode.VALID
 
 
 class BlockValidator:
@@ -206,16 +210,25 @@ class BlockValidator:
                 return
             # 2. VSCC in parallel across the worker pool (the committer
             #    slot is released so every worker can serve VSCC jobs).
-            flags: list[ValidationCode | None] = (
-                [None] * len(block.transactions))
+            transactions = block.transactions
+            flags: list[ValidationCode | None] = [None] * len(transactions)
             # Eager spawn: each job claims its worker slot at spawn, in
-            # list order — the same FIFO order the init pops would give.
+            # list order — the same FIFO order the init pops would give —
+            # and enters its span there, inside its own process.  The
+            # spans are built only when tracing; otherwise every job gets
+            # the shared no-op span.
             sim = peer.sim
-            jobs = [Process(sim, self._vscc_one(envelope, flags, index),
-                            eager=True)
-                    for index, envelope in enumerate(block.transactions)]
+            vscc_one = self._vscc_one
+            traced = bool(tracer)
+            node = peer.name
+            jobs = [Process(sim, vscc_one(
+                        envelope, flags, index,
+                        tracer.span("validate.vscc", category="validate",
+                                    node=node, tx_id=envelope.tx_id)
+                        if traced else NULL_SPAN), eager=True)
+                    for index, envelope in enumerate(transactions)]
             if jobs:
-                yield peer.sim.all_of(jobs)
+                yield sim.all_of(jobs)
             vscc_flags = typing.cast("list[ValidationCode]", flags)
             backend = self.ledger.state
             read_cost = 0.0
@@ -272,13 +285,16 @@ class BlockValidator:
                     backend.drain_cost(), "snapshot")
 
     def _vscc_one(self, envelope: TransactionEnvelope,
-                  flags: list[ValidationCode | None], index: int):
-        # One job per (peer, transaction), so the worker claim is written
-        # out here rather than run as an acquire() sub-generator.
+                  flags: list[ValidationCode | None], index: int,
+                  span: typing.ContextManager[typing.Any]):
+        # One job per (peer, transaction), so the worker claim and the CPU
+        # charge are written out here rather than run as acquire()/use()
+        # sub-generators: the same events (the worker grant, then the
+        # CPU grant only if the claim queued, then the CPU service).
         peer = self._peer
         workers = self._workers
-        with peer.tracer.span("validate.vscc", category="validate",
-                              node=peer.name, tx_id=envelope.tx_id):
+        cpu = peer.cpu
+        with span:
             request = workers.request()
             try:
                 # An exception at the grant yield hands back the granted
@@ -287,8 +303,16 @@ class BlockValidator:
                 if workers.monitor is not None:
                     # Lands on this span as its queue wait.
                     workers.report_wait(request)
-                cost = peer.costs.vscc_tx_cpu(len(envelope.endorsements))
-                yield from peer.cpu.use(cost)
+                held = cpu.claim()
+                try:
+                    if not held.triggered:
+                        yield held
+                        if cpu.monitor is not None:
+                            cpu.report_wait(held)
+                    yield Timeout(peer.sim, peer.costs.vscc_tx_cpu(
+                        len(envelope.endorsements)))
+                finally:
+                    cpu.release(held)
                 flags[index] = self._vscc.validate(envelope, self.policy)
             finally:
                 workers.release(request)

@@ -80,38 +80,71 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._queue)
 
-    def request(self) -> Request:
-        """Claim a slot; the returned event fires when the slot is granted."""
+    def claim(self) -> Request:
+        """Claim a slot without scheduling anything: the one claim rule.
+
+        A free slot is taken at once, and the returned request is already
+        granted; it is never waited on, so nothing is pushed.  Otherwise
+        the request queues FIFO and fires when a release hands it the
+        slot.  The queue is non-empty only while every slot is held, so
+        a free slot never jumps a waiter.  The caller tells the two apart
+        by ``request.triggered``: it yields a queued request, reports its
+        wait on a monitored resource (:meth:`report_wait`), and releases
+        the request either way.
+        """
         request = Request(self)
         users = self._users
-        if len(users) < self.capacity:
-            users.add(request)
-            # Inlined request.succeed(): a fresh Request cannot have been
-            # triggered, so only the trigger-and-schedule half remains.
+        monitor = self.monitor
+        if len(users) < self.capacity and not self._queue:
             request._value = None
-            sim = self.sim
-            sim._fifo.append((sim._now, sim._seq, request))
-            sim._seq += 1
-            if self.monitor is not None:
-                request.granted_at = sim._now
-                self.monitor.on_grant(0.0)
-                self.monitor.on_state(len(users), len(self._queue))
+            users.add(request)
+            if monitor is not None:
+                request.granted_at = self.sim._now
+                monitor.on_grant(0.0)
+                monitor.on_state(len(users), 0)
         else:
             request.queued_at = self.sim._now
             self._queue.append(request)
-            if self.monitor is not None:
-                self.monitor.on_state(len(users), len(self._queue))
+            if monitor is not None:
+                monitor.on_state(len(users), len(self._queue))
+        return request
+
+    def request(self) -> Request:
+        """Claim a slot; the returned event fires when the slot is granted.
+
+        :meth:`claim`, plus a grant event at the current time when the
+        slot was free.
+        """
+        request = self.claim()
+        if request._value is not _PENDING:
+            sim = self.sim
+            sim._fifo.append((sim._now, sim._seq, request))
+            sim._seq += 1
         return request
 
     def release(self, request: Request) -> None:
-        """Return a previously granted slot and wake the next waiter."""
-        if request in self._users:
-            self._users.remove(request)
-            if (self.monitor is not None
-                    and request.granted_at is not None):
-                self.monitor.on_release(self.sim.now - request.granted_at)
-            if self._queue:
-                self._grant_next()
+        """Return a previously granted slot and hand it to the next waiter."""
+        users = self._users
+        monitor = self.monitor
+        if request in users:
+            users.remove(request)
+            if monitor is not None and request.granted_at is not None:
+                monitor.on_release(self.sim._now - request.granted_at)
+            queue = self._queue
+            if queue:
+                waiter = queue.popleft()
+                users.add(waiter)
+                # Inlined waiter.succeed(): a queued request is pending.
+                waiter._value = None
+                sim = self.sim
+                now = sim._now
+                sim._fifo.append((now, sim._seq, waiter))
+                sim._seq += 1
+                if monitor is not None:
+                    waiter.granted_at = now
+                    queued_at = waiter.queued_at
+                    monitor.on_grant(now - queued_at
+                                     if queued_at is not None else 0.0)
         else:
             # Cancelling a queued request is legal (e.g. on timeout races).
             try:
@@ -120,10 +153,10 @@ class Resource:
                 raise RuntimeError(
                     "release() of a request that holds no slot and is "
                     "not queued") from None
-            if self.monitor is not None:
-                self.monitor.on_cancel()
-        if self.monitor is not None:
-            self.monitor.on_state(len(self._users), len(self._queue))
+            if monitor is not None:
+                monitor.on_cancel()
+        if monitor is not None:
+            monitor.on_state(len(users), len(self._queue))
 
     def use(self, duration: float) -> typing.Generator[Event, typing.Any, None]:
         """Hold one slot for ``duration`` simulated seconds.
@@ -132,39 +165,23 @@ class Resource:
         exception-safe (the slot is released even if the caller is
         interrupted while holding it).
 
-        When a slot is free the claim happens synchronously — no grant
+        The slot is taken with :meth:`claim`: when one is free, no grant
         event is scheduled, and the only yield is the service timeout.
         Acquisition time is identical either way (an immediate grant fires
         at the same timestamp it was requested), and FIFO order among
-        *contended* requests is untouched: the queue is non-empty only when
-        every slot is held, which forces the slow path.  Uncontended
-        acquisitions dominate a reference run, and skipping their grant
-        pops removes about a quarter of all kernel events.
+        *contended* requests is untouched.  Uncontended acquisitions
+        dominate a reference run, and skipping their grant pops removes
+        about a quarter of all kernel events.
         """
-        users = self._users
-        if len(users) < self.capacity and not self._queue:
-            request = Request(self)
-            request._value = None  # triggered; it is never waited on
-            users.add(request)
-            if self.monitor is not None:
-                request.granted_at = self.sim.now
-                self.monitor.on_grant(0.0)
-                self.monitor.on_state(len(users), len(self._queue))
-            try:
-                # Direct Timeout construction (not sim.timeout()): this is
-                # one of the hottest yields in a run and the factory frame
-                # is measurable in sampling profiles.
-                yield Timeout(self.sim, duration)
-            finally:
-                self.release(request)
-            return
-        # Contended: acquire() written out inline, one generator frame
-        # fewer on every queued claim.
-        request = self.request()
+        request = self.claim()
         try:
-            yield request
-            if self.monitor is not None:
-                self.report_wait(request)
+            if request._value is _PENDING:
+                yield request
+                if self.monitor is not None:
+                    self.report_wait(request)
+            # Direct Timeout construction (not sim.timeout()): this is
+            # one of the hottest yields in a run and the factory frame
+            # is measurable in sampling profiles.
             yield Timeout(self.sim, duration)
         finally:
             self.release(request)
@@ -200,21 +217,6 @@ class Resource:
         queued_at = request.queued_at
         self.monitor.note_wait(self.sim.now - queued_at
                                if queued_at is not None else 0.0)
-
-    def _grant_next(self) -> None:
-        if self._queue and len(self._users) < self.capacity:
-            request = self._queue.popleft()
-            self._users.add(request)
-            # Inlined request.succeed() (see request()).
-            request._value = None
-            sim = self.sim
-            sim._fifo.append((sim._now, sim._seq, request))
-            sim._seq += 1
-            if self.monitor is not None:
-                request.granted_at = sim._now
-                wait = (sim._now - request.queued_at
-                        if request.queued_at is not None else 0.0)
-                self.monitor.on_grant(wait)
 
 
 class Store:

@@ -109,6 +109,34 @@ def test_sl011_two_acquires_reported_separately():
     assert [d.rule for d in diags] == ["SL011", "SL011"]
 
 
+def test_sl011_claim_leaked_on_exception_path():
+    # claim() hands out a slot like request(): a release after the
+    # service yield, outside a finally, leaks it on an interrupt.
+    diags = lint("""
+        def run(self):
+            held = self.cpu.claim()
+            if not held.triggered:
+                yield held
+            yield self.sim.timeout(1.0)
+            self.cpu.release(held)
+    """)
+    assert [d.rule for d in diags] == ["SL011"]
+    assert "'held'" in diags[0].message
+
+
+def test_sl011_clean_on_claim_released_in_finally():
+    assert rules_fired("""
+        def run(self):
+            held = self.cpu.claim()
+            try:
+                if not held.triggered:
+                    yield held
+                yield self.sim.timeout(1.0)
+            finally:
+                self.cpu.release(held)
+    """) == []
+
+
 def test_sl011_kernel_resources_file_is_allowlisted():
     assert rules_fired("""
         def acquire(self):
@@ -229,6 +257,39 @@ def test_sl016_reneging_on_own_request_is_allowed():
             if request not in fired:
                 self.pool.release(request)
     """) == []
+
+
+def test_sl016_clean_on_claim_grant_wait_while_holding():
+    # The VSCC job's shape: a worker slot held, then a CPU claim whose
+    # grant wait (only when it queued) sits inside try/finally.
+    assert rules_fired("""
+        def run(self):
+            request = self.workers.request()
+            try:
+                yield request
+                held = self.cpu.claim()
+                try:
+                    if not held.triggered:
+                        yield held
+                    yield self.sim.timeout(1.0)
+                finally:
+                    self.cpu.release(held)
+            finally:
+                self.workers.release(request)
+    """) == []
+
+
+def test_sl016_other_event_wait_while_holding_a_claim():
+    assert "SL016" in rules_fired("""
+        def run(self):
+            held = self.cpu.claim()
+            try:
+                if not held.triggered:
+                    yield held
+                yield self.batch_ready
+            finally:
+                self.cpu.release(held)
+    """)
 
 
 def test_sl016_clean_after_release():

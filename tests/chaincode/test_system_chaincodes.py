@@ -104,3 +104,47 @@ def test_vscc_unknown_msp_domain_is_bad_signature():
     envelope = make_envelope([alien], response)
     assert VSCC(msp).validate(envelope, Principal("p0")) is (
         ValidationCode.BAD_SIGNATURE)
+
+
+def test_vscc_verdict_turns_bad_after_revocation():
+    ca, msp, peers = setup()
+    response = make_response()
+    endorsement = ESCC(peers["p0"]).endorse(response.response_bytes())
+    envelope = make_envelope([endorsement], response)
+    policy = Principal("p0")
+    # Two peers' VSCCs over one MSP: the second reuses the verdict.
+    assert VSCC(msp).validate(envelope, policy) is ValidationCode.VALID
+    assert VSCC(msp).validate(envelope, policy) is ValidationCode.VALID
+    ca.revoke("p0")
+    assert VSCC(msp).validate(envelope, policy) is (
+        ValidationCode.BAD_SIGNATURE)
+
+
+def test_vscc_verdict_not_inherited_by_another_msp():
+    ca, msp, peers = setup()
+    response = make_response()
+    endorsement = ESCC(peers["p0"]).endorse(response.response_bytes())
+    envelope = make_envelope([endorsement], response)
+    policy = Principal("p0")
+    assert VSCC(msp).validate(envelope, policy) is ValidationCode.VALID
+    # An MSP without the endorser's CA cannot verify the signature.
+    stranger = MSP([CertificateAuthority("Org2")])
+    assert VSCC(stranger).validate(envelope, policy) is (
+        ValidationCode.BAD_SIGNATURE)
+    assert VSCC(msp).validate(envelope, policy) is ValidationCode.VALID
+
+
+def test_vscc_verdict_is_per_policy():
+    ca, msp, peers = setup()
+    response = make_response()
+    endorsement = ESCC(peers["p0"]).endorse(response.response_bytes())
+    envelope = make_envelope([endorsement], response)
+    vscc = VSCC(msp)
+    satisfied = Principal("p0")
+    assert vscc.validate(envelope, satisfied) is ValidationCode.VALID
+    assert vscc.validate(envelope, Principal("p1")) is (
+        ValidationCode.ENDORSEMENT_POLICY_FAILURE)
+    assert vscc.validate(envelope, And([Principal("p0"),
+                                        Principal("p1")])) is (
+        ValidationCode.ENDORSEMENT_POLICY_FAILURE)
+    assert vscc.validate(envelope, satisfied) is ValidationCode.VALID

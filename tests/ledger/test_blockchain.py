@@ -66,6 +66,20 @@ def test_append_rejects_tampered_data_hash():
         store.append(tampered)
 
 
+def test_reassigned_transactions_are_hashed_again():
+    first = BlockStore("ch")
+    second = BlockStore("ch")
+    block = make_block(first, tx_ids=("tx1", "tx2"))
+    first.append(block)
+    assert first.verify_chain()
+    # Tamper with the appended block itself: every later check of its
+    # data hash must see the new transactions.
+    block.transactions = (make_envelope("evil"),)
+    with pytest.raises(ValidationError):
+        second.append(block)
+    assert not first.verify_chain()
+
+
 def test_chain_verifies_after_many_appends():
     store = BlockStore("ch")
     for index in range(10):

@@ -276,3 +276,44 @@ def test_unmonitored_resources_behave_identically():
     sim.run()
     assert done == ["x"]
     assert sim.now == 1.0
+
+
+def test_claim_takes_a_free_slot_without_scheduling():
+    sim = Simulation()
+    resource = Resource(sim, capacity=1)
+    held = resource.claim()
+    try:
+        assert held.triggered and resource.count == 1
+        sim.run()
+        assert sim.events_processed == 0  # a granted claim pushes nothing
+    finally:
+        resource.release(held)
+    assert resource.count == 0
+
+
+def test_claim_queues_fifo_and_reports_the_wait():
+    sim = Simulation()
+    resource = Resource(sim, capacity=1, name="cpu")
+    monitor = RecordingMonitor()
+    resource.monitor = monitor
+    order = []
+
+    def worker(name, hold):
+        held = resource.claim()
+        try:
+            if not held.triggered:
+                yield held
+                resource.report_wait(held)
+            order.append((name, sim.now))
+            yield sim.timeout(hold)
+        finally:
+            resource.release(held)
+
+    for name, hold in (("a", 2.0), ("b", 1.0), ("c", 1.0)):
+        sim.process(worker(name, hold))
+    sim.run()
+    assert order == [("a", 0.0), ("b", 2.0), ("c", 3.0)]
+    assert monitor.grants == [0.0, 2.0, 3.0]
+    assert monitor.waits == [2.0, 3.0]
+    assert monitor.releases == [2.0, 1.0, 1.0]
+    assert monitor.states[-1] == (0, 0)
