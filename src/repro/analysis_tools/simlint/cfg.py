@@ -83,22 +83,12 @@ class CFG:
         self.entry = self._new(None, "entry")
         self.exit = self._new(None, "exit")
         self.raise_exit = self._new(None, "raise_exit")
-        self._by_stmt: dict[int, CFGNode] = {}
         _Builder(self).build()
 
     def _new(self, stmt: ast.stmt | None, label: str = "stmt") -> CFGNode:
         node = CFGNode(len(self.nodes), stmt, label)
         self.nodes.append(node)
         return node
-
-    def node_for(self, stmt: ast.stmt) -> CFGNode | None:
-        """The node representing ``stmt``, if it is part of this CFG."""
-        return self._by_stmt.get(id(stmt))
-
-    def edges(self) -> list[tuple[int, int, str]]:
-        """All edges as ``(src_index, dst_index, kind)``, for tests."""
-        return [(node.index, dst.index, kind)
-                for node in self.nodes for dst, kind in node.succ]
 
     def statements(self) -> list[CFGNode]:
         """The statement nodes in source order."""
@@ -118,7 +108,7 @@ def _link(src: CFGNode, dst: CFGNode, kind: str = NORMAL) -> None:
 
 
 def _contains_yield(stmt: ast.stmt) -> bool:
-    for node in _walk_same_scope(stmt):
+    for node in walk_same_scope(stmt):
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
             return True
     return False
@@ -133,13 +123,13 @@ def may_raise(stmt: ast.stmt) -> bool:
     """
     if isinstance(stmt, (ast.Raise, ast.Assert)):
         return True
-    for node in _walk_same_scope(stmt):
+    for node in walk_same_scope(stmt):
         if isinstance(node, (ast.Call, ast.Yield, ast.YieldFrom, ast.Await)):
             return True
     return False
 
 
-def _walk_same_scope(stmt: ast.stmt) -> typing.Iterator[ast.AST]:
+def walk_same_scope(stmt: ast.stmt) -> typing.Iterator[ast.AST]:
     """Walk what executes *at* ``stmt`` in the enclosing frame.
 
     Compound statements contribute only their header expressions (bodies
@@ -279,7 +269,6 @@ class _Builder:
     def _stmt_node(self, stmt: ast.stmt,
                    frontier: list[CFGNode]) -> CFGNode:
         node = self.cfg._new(stmt)
-        self.cfg._by_stmt[id(stmt)] = node
         for prev in frontier:
             _link(prev, node)
         if may_raise(stmt):
@@ -343,7 +332,6 @@ class _Builder:
         handler_nodes: list[tuple[ast.ExceptHandler, CFGNode]] = []
         for handler in stmt.handlers:
             head = cfg._new(handler, "stmt")  # type: ignore[arg-type]
-            cfg._by_stmt[id(handler)] = head
             handler_heads.append(head)
             handler_nodes.append((handler, head))
 

@@ -1,11 +1,11 @@
-"""A generic worklist fixpoint solver over the simlint CFG.
+"""A worklist fixpoint solver over the simlint CFG.
 
-The solver handles forward and backward gen/kill problems with may
-(union) or must (intersection) joins.  Rules describe their analysis as a
-:class:`GenKillProblem` subclass; the solver owns iteration order,
-convergence, and edge semantics.
+Every problem the rules define is a forward may-analysis: a fact holds at
+a point when it holds along *some* path from the entry.  Rules describe
+their analysis as a :class:`GenKillProblem` subclass; the solver owns
+iteration order, convergence, and edge semantics.
 
-One edge refinement matters for the resource rules: on an *exception*
+One edge refinement matters for the pairing rules: on an *exception*
 edge the gen set of the raising statement is **not** applied (its kill set
 is).  An ``x = res.request()`` that raises never granted the slot, while a
 ``res.release(x)`` whose surroundings raise has already returned it — so
@@ -16,7 +16,7 @@ cleanup as a leak.
 
 from __future__ import annotations
 
-import typing
+import collections
 
 from repro.analysis_tools.simlint.cfg import CFG, EXCEPTION, CFGNode
 
@@ -25,21 +25,12 @@ EMPTY: State = frozenset()
 
 
 class GenKillProblem:
-    """A forward or backward gen/kill dataflow problem over value names."""
-
-    #: ``"forward"`` or ``"backward"``.
-    direction: str = "forward"
-    #: ``"may"`` (union join) or ``"must"`` (intersection join).
-    mode: str = "may"
+    """A forward gen/kill dataflow problem over value names."""
 
     def gen(self, node: CFGNode) -> State:
         return EMPTY
 
     def kill(self, node: CFGNode) -> State:
-        return EMPTY
-
-    def boundary(self) -> State:
-        """The state entering the CFG (at entry for forward problems)."""
         return EMPTY
 
     def transfer(self, node: CFGNode, state: State) -> State:
@@ -56,12 +47,7 @@ class GenKillProblem:
 
 
 class Solution:
-    """Fixpoint states: ``state_in[i]`` / ``state_out[i]`` per node index.
-
-    For backward problems ``state_in`` is the state at the *program point
-    before* the node in execution order (i.e. the solver's result after
-    transferring), mirroring the usual convention.
-    """
+    """Fixpoint states: ``state_in[i]`` / ``state_out[i]`` per node index."""
 
     def __init__(self, cfg: CFG) -> None:
         self.cfg = cfg
@@ -71,77 +57,41 @@ class Solution:
     def before(self, node: CFGNode) -> State:
         return self.state_in.get(node.index, EMPTY)
 
-    def after(self, node: CFGNode) -> State:
-        return self.state_out.get(node.index, EMPTY)
-
 
 def solve(cfg: CFG, problem: GenKillProblem) -> Solution:
-    """Run the worklist algorithm to fixpoint; deterministic order."""
+    """Run the worklist algorithm to fixpoint; deterministic order.
+
+    States start empty and only grow (union joins, monotone transfers),
+    so the result is the least fixpoint whatever the visiting order; the
+    order is still fixed (by node index, then by edge order) so that a
+    run is reproducible step for step.
+    """
     solution = Solution(cfg)
-    forward = problem.direction == "forward"
-    must = problem.mode == "must"
-
-    if forward:
-        edges_in = _predecessors
-        start = cfg.entry
-    else:
-        edges_in = _successors
-        start = cfg.exit
-
     state_in = solution.state_in
     state_out = solution.state_out
     for node in cfg.nodes:
         state_in[node.index] = EMPTY
         state_out[node.index] = EMPTY
-    state_in[start.index] = problem.boundary()
-    state_out[start.index] = problem.transfer(start, problem.boundary())
-
-    # Deterministic worklist: ordered by node index, no duplicates.
-    # ``reached`` keeps must-joins from being poisoned by the EMPTY init
-    # of nodes the analysis has not propagated into yet.
-    reached = {start.index}
-    pending = [node for node in cfg.nodes if node is not start]
+    pending = collections.deque(cfg.nodes)
     on_list = {node.index for node in pending}
     while pending:
-        node = pending.pop(0)
+        node = pending.popleft()
         on_list.discard(node.index)
-        incoming = edges_in(node, forward)
-        states: list[State] = []
-        for source, kind in incoming:
-            if must and source.index not in reached:
-                continue
-            if kind == EXCEPTION and forward:
-                states.append(problem.exception_transfer(
-                    source, state_in[source.index]))
+        joined = EMPTY
+        for source, kind in node.pred:
+            if kind == EXCEPTION:
+                joined |= problem.exception_transfer(
+                    source, state_in[source.index])
             else:
-                states.append(state_out[source.index])
-        if states:
-            joined = states[0]
-            for state in states[1:]:
-                joined = joined & state if must else joined | state
-        else:
-            joined = EMPTY
+                joined |= state_out[source.index]
         new_out = problem.transfer(node, joined)
-        if (node.index in reached
-                and joined == state_in[node.index]
+        if (joined == state_in[node.index]
                 and new_out == state_out[node.index]):
             continue
-        reached.add(node.index)
         state_in[node.index] = joined
         state_out[node.index] = new_out
-        targets = node.succ if forward else node.pred
-        for target, _kind in targets:
-            if target.index not in on_list and target.index >= 0:
+        for target, _kind in node.succ:
+            if target.index not in on_list:
                 on_list.add(target.index)
                 pending.append(target)
-    # Re-sort is unnecessary: append order is deterministic given the
-    # deterministic initial order and edge lists.
     return solution
-
-
-def _predecessors(node: CFGNode, forward: bool) -> list[tuple[CFGNode, str]]:
-    return node.pred
-
-
-def _successors(node: CFGNode, forward: bool) -> list[tuple[CFGNode, str]]:
-    return node.succ

@@ -103,25 +103,28 @@ class Linter:
 
     def lint_source(self, source: str, relpath: str = "<string>",
                     path: str | None = None) -> list[Diagnostic]:
-        """Lint a source string as if it lived at ``relpath``."""
+        """Lint a source string as if it lived at ``relpath``.
+
+        Project rules in the rule list see a project of this one file.
+        """
         tree = ast.parse(source, filename=relpath)
         context = FileContext(relpath=relpath, path=path or relpath,
                               tree=tree, source=source)
         suppressions = parse_suppressions(source, tree)
-        return self._run_rules(context, suppressions)[0]
+        kept = self._run_rules(context, suppressions)[0]
+        kept.extend(self._run_project_rules([(context, suppressions)])[0])
+        return kept
 
     def lint_paths(self, paths: typing.Sequence[str | pathlib.Path],
-                   root: str | pathlib.Path | None = None,
-                   project: bool = False) -> LintResult:
+                   root: str | pathlib.Path | None = None) -> LintResult:
         """Lint every ``.py`` file under ``paths``.
 
         ``root`` anchors the relative paths rule allowlists match against;
         it defaults to each argument path itself (so linting ``src/repro``
-        yields relpaths like ``sim/rng.py``).  With ``project=True``, any
+        yields relpaths like ``sim/rng.py``).  Any
         :class:`~repro.analysis_tools.simlint.project.ProjectRule` in the
-        rule list additionally runs once over the whole file set (symbol
-        table + call graph); per-file suppressions still apply to its
-        diagnostics.
+        rule list runs once over the whole file set (symbol table + call
+        graph); per-file suppressions still apply to its diagnostics.
         """
         diagnostics: list[Diagnostic] = []
         files_checked = 0
@@ -140,11 +143,9 @@ class Linter:
                 suppressed += file_suppressed
                 if entry is not None:
                     parsed.append(entry)
-        if project and parsed:
-            project_diags, project_suppressed = self._run_project_rules(
-                parsed)
-            diagnostics.extend(project_diags)
-            suppressed += project_suppressed
+        project_diags, project_suppressed = self._run_project_rules(parsed)
+        diagnostics.extend(project_diags)
+        suppressed += project_suppressed
         diagnostics.sort(key=lambda d: (d.path, d.line, d.column, d.rule))
         return LintResult(diagnostics=diagnostics,
                           files_checked=files_checked,
@@ -208,7 +209,7 @@ class Linter:
 
         project_rules = [rule for rule in self.rules
                          if isinstance(rule, ProjectRule)]
-        if not project_rules:
+        if not project_rules or not parsed:
             return [], 0
         project = ProjectContext([context for context, _ in parsed])
         by_path = {context.path: suppressions
@@ -232,7 +233,6 @@ def lint_source(source: str, relpath: str = "<string>") -> list[Diagnostic]:
 
 
 def lint_paths(paths: typing.Sequence[str | pathlib.Path],
-               root: str | pathlib.Path | None = None,
-               project: bool = False) -> LintResult:
+               root: str | pathlib.Path | None = None) -> LintResult:
     """Convenience wrapper: lint paths with the default rules."""
-    return Linter().lint_paths(paths, root=root, project=project)
+    return Linter().lint_paths(paths, root=root)

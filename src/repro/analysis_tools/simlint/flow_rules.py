@@ -5,9 +5,9 @@ and — for the cross-file ones — on the project symbol table and its
 call resolution (:mod:`.project`):
 
 ========  ==========================================================
-SL011     a resource slot taken by ``request()``/``acquire()``/``claim()``
-          not released on every path (early return, fall-through,
-          exception)
+SL011     a resource slot taken by a slot call (``request()``,
+          ``acquire()``, ``claim()``) not released on every path (early
+          return, fall-through, exception)
 SL012     a generator / kernel sub-generator called without
           ``yield from`` — the body never runs (silent no-op)
 SL013     a tracer span opened but not closed on every path
@@ -31,13 +31,18 @@ a pool in a way the phase model misattributes (SL016).
 from __future__ import annotations
 
 import ast
+import dataclasses
 import typing
 
-from repro.analysis_tools.simlint.cfg import CFG, CFGNode, build_cfg
+from repro.analysis_tools.simlint.cfg import (
+    CFG,
+    CFGNode,
+    build_cfg,
+    walk_same_scope,
+)
 from repro.analysis_tools.simlint.dataflow import (
     EMPTY,
     GenKillProblem,
-    Solution,
     State,
     solve,
 )
@@ -49,7 +54,23 @@ from repro.analysis_tools.simlint.project import (
     ProjectContext,
     ProjectRule,
 )
-from repro.analysis_tools.simlint.rules import _dotted_name
+from repro.analysis_tools.simlint.rules import (
+    BLOCKING_WAITS,
+    CHARGED_SUBGENERATORS,
+    CHARGED_YIELDS,
+    CLAIM,
+    HOST_BUILTINS,
+    HOST_ENTROPY,
+    MUST_CONSUME,
+    RELEASE,
+    RNG_DRAWS,
+    SCHEDULING_SINKS,
+    SLOT_CALLS,
+    SPAN_CLOSES,
+    SPAN_OPEN,
+    _dotted_name,
+    host_clock,
+)
 
 FunctionAst = typing.Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -61,77 +82,192 @@ def iter_functions(tree: ast.Module) -> typing.Iterator[FunctionAst]:
             yield node
 
 
-def _own_scope_nodes(stmt: ast.stmt) -> typing.Iterator[ast.AST]:
-    """All AST nodes executing at ``stmt`` (no nested frames/bodies)."""
-    from repro.analysis_tools.simlint.cfg import _walk_same_scope
-
-    return _walk_same_scope(stmt)
+def _mentions_name(node: ast.AST, var: str) -> bool:
+    return any(isinstance(child, ast.Name) and child.id == var
+               for child in ast.walk(node))
 
 
 # ======================================================================
-# Shared acquire/release tracking (SL011 + SL016)
+# Open-to-close pairing (SL011, SL013, SL016)
 # ======================================================================
 
-#: Method names that hand out a resource slot.
-ACQUIRE_ATTRS = frozenset({"request", "acquire", "claim"})
-#: Method name that returns a slot.
-RELEASE_ATTR = "release"
+@dataclasses.dataclass(frozen=True)
+class Pairing:
+    """What one open-to-close rule pairs, and how it words a finding.
+
+    ``opens(expr)`` is the opening call in ``expr``, or None.  A value
+    bound by ``var = <opening call>`` stays open until a statement
+    ``closes(stmt, var)`` it or lets it ``escape(stmt, var, openers)`` —
+    hands it on, so that closing it is someone else's job.  ``openers``
+    are the method names of the calls that opened ``var``.
+    """
+
+    opens: typing.Callable[[ast.AST], ast.Call | None]
+    closes: typing.Callable[[ast.stmt, str], bool]
+    escapes: typing.Callable[[ast.stmt, str, frozenset[str]], bool]
+    #: Messages, formatted with ``call`` (the opening call's dotted
+    #: name) and ``var``.
+    discarded: str
+    every_path: str
+    exception_path: str
+    #: Whether a value that escapes anywhere in the function still has
+    #: its exception-path leaks reported.
+    escaped_exception_paths: bool = True
+
+    def opened_in(self, func: FunctionAst) -> bool:
+        """Cheap pre-test: does any statement in ``func`` open a value?"""
+        return any(isinstance(node, (ast.Assign, ast.Expr))
+                   and self.opens(node.value) is not None
+                   for node in ast.walk(func))
 
 
-def _acquired_var(stmt: ast.stmt) -> tuple[str, str] | None:
-    """``(varname, method)`` for slot-acquiring assignments."""
-    if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)):
-        return None
-    value: ast.expr = stmt.value
-    if isinstance(value, ast.YieldFrom):
-        value = value.value
-    if (isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr in ACQUIRE_ATTRS
-            and not value.args and not value.keywords):
-        return stmt.targets[0].id, value.func.attr
+class PairingProblem(GenKillProblem):
+    """Forward may-analysis: which opened values are not closed yet.
+
+    State values are ``"<var>:<line>"`` keys, one per opening statement,
+    so two openings into the same name are reported separately.
+    """
+
+    def __init__(self, cfg: CFG, pairing: Pairing) -> None:
+        self.pairing = pairing
+        #: open key -> (var, opening statement node)
+        self.opened: dict[str, tuple[str, CFGNode]] = {}
+        #: Opening calls whose result is dropped on the floor.
+        self.discarded: list[ast.Call] = []
+        #: When False, exception edges carry nothing (see
+        #: :func:`pairing_findings`).
+        self.through_exceptions = True
+        self._gen: dict[int, State] = {}
+        self._kill: dict[int, State] = {}
+        opened_var: dict[int, str] = {}
+        keys_of: dict[str, set[str]] = {}
+        openers: dict[str, set[str]] = {}
+        for node in cfg.statements():
+            stmt = node.stmt
+            if isinstance(stmt, ast.Expr):
+                call = pairing.opens(stmt.value)
+                if call is not None:
+                    self.discarded.append(call)
+            elif (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                  and isinstance(stmt.targets[0], ast.Name)):
+                call = pairing.opens(stmt.value)
+                if call is not None:
+                    var = stmt.targets[0].id
+                    key = f"{var}:{node.lineno}"
+                    self.opened[key] = (var, node)
+                    self._gen[node.index] = frozenset({key})
+                    opened_var[node.index] = var
+                    keys_of.setdefault(var, set()).add(key)
+                    assert isinstance(call.func, ast.Attribute)
+                    openers.setdefault(var, set()).add(call.func.attr)
+        self.openers = {var: frozenset(names)
+                        for var, names in openers.items()}
+        for node in cfg.statements():
+            stmt = node.stmt
+            assert stmt is not None
+            killed: set[str] = set()
+            for var in sorted(keys_of):
+                if opened_var.get(node.index) == var:
+                    continue  # the opening statement itself
+                if pairing.closes(stmt, var) or self.escapes(stmt, var):
+                    killed |= keys_of[var]
+            if killed:
+                self._kill[node.index] = frozenset(killed)
+
+    def escapes(self, stmt: ast.stmt, var: str) -> bool:
+        return self.pairing.escapes(stmt, var, self.openers[var])
+
+    def gen(self, node: CFGNode) -> State:
+        return self._gen.get(node.index, EMPTY)
+
+    def kill(self, node: CFGNode) -> State:
+        return self._kill.get(node.index, EMPTY)
+
+    def exception_transfer(self, node: CFGNode, state: State) -> State:
+        if not self.through_exceptions:
+            return EMPTY
+        return super().exception_transfer(node, state)
+
+
+def pairing_findings(rule: Rule, context: FileContext, func: FunctionAst,
+                     pairing: Pairing) -> typing.Iterator[Diagnostic]:
+    """``func``'s discarded openings and the values it leaves open."""
+    if not pairing.opened_in(func):
+        return
+    cfg = build_cfg(func)
+    problem = PairingProblem(cfg, pairing)
+    for call in problem.discarded:
+        yield context.diagnostic(rule, call, pairing.discarded.format(
+            call=_dotted_name(call.func)))
+    if not problem.opened:
+        return
+    solution = solve(cfg, problem)
+    left_open = solution.before(cfg.exit) | solution.before(cfg.raise_exit)
+    if not left_open:
+        return
+    # "Every path" is decided on normal edges alone: a finally body is
+    # laid out once, so a value that entered it on an exception edge
+    # also reaches its normal exit.
+    problem.through_exceptions = False
+    on_normal_paths = solve(cfg, problem).before(cfg.exit)
+    for key in sorted(left_open):
+        var, node = problem.opened[key]
+        if key in on_normal_paths:
+            message = pairing.every_path
+        elif pairing.escaped_exception_paths or not any(
+                problem.escapes(other.stmt, var)  # type: ignore[arg-type]
+                for other in cfg.statements()):
+            message = pairing.exception_path
+        else:
+            continue  # handed on: its exception windows are not ours
+        yield context.diagnostic(
+            rule, node.stmt,  # type: ignore[arg-type]
+            message.format(var=var))
+
+
+# -- resource slots (SL011, SL016) -------------------------------------
+
+def _slot_call(expr: ast.AST) -> ast.Call | None:
+    """The slot-taking kernel call in ``expr`` (``yield from`` too)."""
+    if isinstance(expr, ast.YieldFrom):
+        expr = expr.value
+    if (isinstance(expr, ast.Call)
+            and isinstance(expr.func, ast.Attribute)
+            and expr.func.attr in SLOT_CALLS
+            and not expr.args and not expr.keywords):
+        return expr
     return None
 
 
-def _bare_acquire(stmt: ast.stmt) -> ast.Call | None:
-    """An acquiring call whose result is discarded (unreleasable)."""
-    if not isinstance(stmt, ast.Expr):
-        return None
-    value = stmt.value
-    if isinstance(value, ast.YieldFrom):
-        value = value.value
-    if (isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr in ACQUIRE_ATTRS
-            and not value.args and not value.keywords):
-        return value
-    return None
-
-
-def _releases_var(stmt: ast.stmt, var: str) -> bool:
-    for node in _own_scope_nodes(stmt):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == RELEASE_ATTR
-                and any(isinstance(arg, ast.Name) and arg.id == var
-                        for arg in node.args)):
+def _releases(stmt: ast.stmt, var: str) -> bool:
+    """``release(var)`` on any receiver, or ``var`` rebound or deleted."""
+    for node in walk_same_scope(stmt):
+        if isinstance(node, ast.Name):
+            if node.id == var and isinstance(node.ctx, (ast.Store, ast.Del)):
+                return True
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == RELEASE
+              and any(isinstance(arg, ast.Name) and arg.id == var
+                      for arg in node.args)):
             return True
     return False
 
 
-def _escapes_var(stmt: ast.stmt, var: str, claimed: bool = False) -> bool:
+def _request_escapes(stmt: ast.stmt, var: str,
+                     openers: frozenset[str]) -> bool:
     """True when ``var`` is used beyond its grant-wait / release.
 
     Passing the request anywhere else (returned, stored, handed to a
     helper) transfers release responsibility out of this function, so
     tracking stops rather than reporting a false leak.  A ``claim()``ed
-    request (``claimed``) may also have its attributes read: the claim's
-    own protocol tests ``request.triggered`` to decide whether to wait.
+    request may also have its attributes read: the claim's own protocol
+    tests ``request.triggered`` to decide whether to wait.
     """
+    claimed = CLAIM in openers
     allowed_loads = 0
     loads = 0
-    for node in _own_scope_nodes(stmt):
+    for node in walk_same_scope(stmt):
         if isinstance(node, ast.Name) and node.id == var:
             if isinstance(node.ctx, ast.Store):
                 continue
@@ -146,83 +282,27 @@ def _escapes_var(stmt: ast.stmt, var: str, claimed: bool = False) -> bool:
             allowed_loads += 1  # ``request.triggered`` after a claim
         elif (isinstance(node, ast.Call)
               and isinstance(node.func, ast.Attribute)
-              and node.func.attr == RELEASE_ATTR):
+              and node.func.attr == RELEASE):
             allowed_loads += sum(
                 1 for arg in node.args
                 if isinstance(arg, ast.Name) and arg.id == var)
     return loads > allowed_loads
 
 
-def _reassigns_var(stmt: ast.stmt, var: str) -> bool:
-    for node in _own_scope_nodes(stmt):
-        if (isinstance(node, ast.Name) and node.id == var
-                and isinstance(node.ctx, (ast.Store, ast.Del))):
-            return True
-    return False
-
-
-class _HeldSlotsProblem(GenKillProblem):
-    """Forward may-analysis: which acquisitions are live (unreleased).
-
-    State values are ``"<var>:<line>"`` keys, one per acquire site, so
-    two acquisitions into the same name are reported separately.
-    """
-
-    direction = "forward"
-    mode = "may"
-
-    def __init__(self, cfg: CFG) -> None:
-        self.cfg = cfg
-        #: acquire key -> (var, acquire statement node)
-        self.acquires: dict[str, tuple[str, CFGNode]] = {}
-        #: Vars assigned from a ``claim()`` (see :func:`_escapes_var`).
-        self.claimed: set[str] = set()
-        self._gen: dict[int, State] = {}
-        self._kill: dict[int, State] = {}
-        for node in cfg.statements():
-            stmt = node.stmt
-            assert stmt is not None
-            acquired = _acquired_var(stmt)
-            if acquired is not None:
-                key = f"{acquired[0]}:{node.lineno}"
-                self.acquires[key] = (acquired[0], node)
-                self._gen[node.index] = frozenset({key})
-                if acquired[1] == "claim":
-                    self.claimed.add(acquired[0])
-        # Kills: any release / escape / reassignment of a tracked var.
-        variables = {var for var, _node in self.acquires.values()}
-        for node in cfg.statements():
-            stmt = node.stmt
-            assert stmt is not None
-            killed: set[str] = set()
-            for var in sorted(variables):
-                acquired_here = self._gen.get(node.index, EMPTY)
-                if any(key.startswith(f"{var}:") for key in acquired_here):
-                    continue  # the acquiring statement itself
-                if (_releases_var(stmt, var)
-                        or self.escapes(stmt, var)
-                        or _reassigns_var(stmt, var)):
-                    killed.update(
-                        key for key in self.acquires
-                        if key.startswith(f"{var}:"))
-            if killed:
-                self._kill[node.index] = frozenset(killed)
-
-    def escapes(self, stmt: ast.stmt, var: str) -> bool:
-        return _escapes_var(stmt, var, var in self.claimed)
-
-    def gen(self, node: CFGNode) -> State:
-        return self._gen.get(node.index, EMPTY)
-
-    def kill(self, node: CFGNode) -> State:
-        return self._kill.get(node.index, EMPTY)
-
-
-def _held_solution(func: FunctionAst) -> tuple[CFG, _HeldSlotsProblem,
-                                               Solution]:
-    cfg = build_cfg(func)
-    problem = _HeldSlotsProblem(cfg)
-    return cfg, problem, solve(cfg, problem)
+SLOTS = Pairing(
+    opens=_slot_call, closes=_releases, escapes=_request_escapes,
+    discarded=("result of {call}() is discarded; the slot can never be "
+               "released"),
+    every_path=("resource request {var!r} is not released on every path "
+                "(an early return or fall-through skips release()); "
+                "release it in a finally:"),
+    exception_path=("resource request {var!r} leaks if an exception (e.g. "
+                    "an interrupt at a yield) fires while it is held; move "
+                    "the release into a try/finally around the holding "
+                    "section"),
+    # A request handed to a helper / returned transfers release
+    # responsibility; don't second-guess its exception windows.
+    escaped_exception_paths=False)
 
 
 class ResourceLeakRule(Rule):
@@ -245,57 +325,7 @@ class ResourceLeakRule(Rule):
         if context.relpath in self.allowlist:
             return
         for func in iter_functions(context.tree):
-            yield from self._check_function(context, func)
-
-    def _check_function(self, context: FileContext,
-                        func: FunctionAst) -> typing.Iterator[Diagnostic]:
-        has_acquire = False
-        for node in ast.walk(func):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ACQUIRE_ATTRS
-                    and not node.args and not node.keywords):
-                has_acquire = True
-                break
-        if not has_acquire:
-            return
-        cfg, problem, solution = _held_solution(func)
-        for node in cfg.statements():
-            stmt = node.stmt
-            assert stmt is not None
-            bare = _bare_acquire(stmt)
-            if bare is not None:
-                yield context.diagnostic(
-                    self, bare,
-                    f"result of {_dotted_name(bare.func)}() is discarded; "
-                    "the slot can never be released")
-        leaked_exit = solution.before(cfg.exit)
-        leaked_raise = solution.before(cfg.raise_exit)
-        # A var handed to a helper / returned transfers release
-        # responsibility; don't second-guess its exception windows.
-        escaped = {
-            var for var, _node in problem.acquires.values()
-            if any(problem.escapes(stmt_node.stmt, var)  # type: ignore[arg-type]
-                   for stmt_node in cfg.statements())}
-        for key in sorted(self.acquire_keys(problem)):
-            var, node = problem.acquires[key]
-            if key in leaked_exit:
-                yield context.diagnostic(
-                    self, node.stmt,  # type: ignore[arg-type]
-                    f"resource request {var!r} is not released on every "
-                    "path (an early return or fall-through skips "
-                    "release()); release it in a finally:")
-            elif key in leaked_raise and var not in escaped:
-                yield context.diagnostic(
-                    self, node.stmt,  # type: ignore[arg-type]
-                    f"resource request {var!r} leaks if an exception "
-                    "(e.g. an interrupt at a yield) fires while it is "
-                    "held; move the release into a try/finally around "
-                    "the holding section")
-
-    @staticmethod
-    def acquire_keys(problem: _HeldSlotsProblem) -> list[str]:
-        return list(problem.acquires)
+            yield from pairing_findings(self, context, func, SLOTS)
 
 
 class BlockingYieldWhileHoldingRule(Rule):
@@ -313,13 +343,6 @@ class BlockingYieldWhileHoldingRule(Rule):
     severity = Severity.WARNING
     description = "blocking wait while holding a resource slot"
     allowlist = ("sim/resources.py",)
-    #: ``yield from`` sub-generators that represent charged service time.
-    charged_subgenerators = frozenset({
-        "use", "charge_statedb", "compute", "acquire"})
-    #: ``yield``-ed calls that are charged / bounded waits.
-    charged_yields = frozenset({"timeout"})
-    #: ``yield``-ed calls that are open-ended blocking waits.
-    blocking_yields = frozenset({"get", "all_of", "any_of", "wait", "join"})
 
     def check(self, context: FileContext) -> typing.Iterator[Diagnostic]:
         if context.relpath in self.allowlist:
@@ -329,12 +352,13 @@ class BlockingYieldWhileHoldingRule(Rule):
 
     def _check_function(self, context: FileContext,
                         func: FunctionAst) -> typing.Iterator[Diagnostic]:
-        source = ast.dump(func)
-        if not any(f"'{attr}'" in source for attr in ACQUIRE_ATTRS):
+        if not SLOTS.opened_in(func):
             return
-        cfg, problem, solution = _held_solution(func)
-        if not problem.acquires:
+        cfg = build_cfg(func)
+        problem = PairingProblem(cfg, SLOTS)
+        if not problem.opened:
             return
+        solution = solve(cfg, problem)
         for node in cfg.statements():
             held = solution.before(node)
             if not held or not node.is_yield:
@@ -350,17 +374,18 @@ class BlockingYieldWhileHoldingRule(Rule):
                     "outside a charged use() window; release first or "
                     "restructure so the wait is not under the slot")
 
-    def _blocking_waits(self, stmt: ast.stmt, held: set[str]
+    @staticmethod
+    def _blocking_waits(stmt: ast.stmt, held: set[str]
                         ) -> typing.Iterator[tuple[str, ast.AST]]:
-        for node in _own_scope_nodes(stmt):
+        for node in walk_same_scope(stmt):
             if isinstance(node, ast.YieldFrom):
                 value = node.value
                 if (isinstance(value, ast.Call)
                         and isinstance(value.func, ast.Attribute)):
                     attr = value.func.attr
-                    if attr in self.charged_subgenerators:
+                    if attr in CHARGED_SUBGENERATORS:
                         continue
-                    if attr in self.blocking_yields:
+                    if attr in BLOCKING_WAITS:
                         yield (f"yield from .{attr}(...) blocks", node)
             elif isinstance(node, ast.Yield):
                 value = node.value
@@ -377,9 +402,9 @@ class BlockingYieldWhileHoldingRule(Rule):
                 if (isinstance(value, ast.Call)
                         and isinstance(value.func, ast.Attribute)):
                     attr = value.func.attr
-                    if attr in self.charged_yields:
+                    if attr in CHARGED_YIELDS:
                         continue
-                    if attr in self.blocking_yields:
+                    if attr in BLOCKING_WAITS:
                         # Reneging is fine: ``any_of([request, timeout])``
                         # mentioning the held request races its *own*
                         # grant against a patience timer — that is a
@@ -390,17 +415,60 @@ class BlockingYieldWhileHoldingRule(Rule):
                         yield (f"waiting on .{attr}(...)", node)
 
 
-# ======================================================================
-# SL013 — tracer span discipline
-# ======================================================================
+# -- tracer spans (SL013) ----------------------------------------------
 
-def _is_span_call(node: ast.AST) -> bool:
-    if not (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "span"):
-        return False
-    receiver = _dotted_name(node.func.value)
-    return "tracer" in receiver.lower()
+def _span_call(expr: ast.AST) -> ast.Call | None:
+    """``<...tracer...>.span(...)``; the ``with`` form never binds one."""
+    if (isinstance(expr, ast.Call)
+            and isinstance(expr.func, ast.Attribute)
+            and expr.func.attr == SPAN_OPEN
+            and "tracer" in _dotted_name(expr.func.value).lower()):
+        return expr
+    return None
+
+
+def _closes_span(stmt: ast.stmt, var: str) -> bool:
+    # ``with s:`` / ``s.__exit__(...)`` / ``tracer._close(s)``.
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        for item in stmt.items:
+            expr = item.context_expr
+            if isinstance(expr, ast.Name) and expr.id == var:
+                return True
+    for node in walk_same_scope(stmt):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            if (node.func.attr in SPAN_CLOSES
+                    and (_mentions_name(node.func.value, var)
+                         or any(_mentions_name(a, var)
+                                for a in node.args))):
+                return True
+    return False
+
+
+def _span_escapes(stmt: ast.stmt, var: str,
+                  _openers: frozenset[str]) -> bool:
+    if isinstance(stmt, ast.Return) and stmt.value is not None:
+        return _mentions_name(stmt.value, var)
+    for node in walk_same_scope(stmt):
+        if (isinstance(node, ast.Call)
+                and any(isinstance(arg, ast.Name) and arg.id == var
+                        for arg in node.args)):
+            func_attr = (node.func.attr
+                         if isinstance(node.func, ast.Attribute) else "")
+            if func_attr not in SPAN_CLOSES:
+                return True
+    return False
+
+
+SPANS = Pairing(
+    opens=_span_call, closes=_closes_span, escapes=_span_escapes,
+    discarded=("tracer span is created and discarded; use "
+               "`with tracer.span(...):` so it opens and closes"),
+    every_path=("span {var!r} is opened but not closed on every path; "
+                "use `with tracer.span(...):` or close in a finally:"),
+    exception_path=("span {var!r} is opened but not closed on an "
+                    "exception path; use `with tracer.span(...):` or "
+                    "close in a finally:"))
 
 
 class SpanLeakRule(Rule):
@@ -421,139 +489,10 @@ class SpanLeakRule(Rule):
     def check(self, context: FileContext) -> typing.Iterator[Diagnostic]:
         if context.relpath in self.allowlist:
             return
-        if "span" not in context.source:
+        if SPAN_OPEN not in context.source:
             return
         for func in iter_functions(context.tree):
-            yield from self._check_function(context, func)
-
-    def _check_function(self, context: FileContext,
-                        func: FunctionAst) -> typing.Iterator[Diagnostic]:
-        cfg: CFG | None = None
-        spans: dict[str, tuple[str, CFGNode]] = {}
-        gen: dict[int, State] = {}
-        kill: dict[int, State] = {}
-        discarded: list[ast.AST] = []
-        with_protected: set[int] = set()
-
-        # ``with tracer.span(...):`` is the safe form — exempt those.
-        for stmt in ast.walk(func):
-            if not isinstance(stmt, (ast.With, ast.AsyncWith)):
-                continue
-            for item in stmt.items:
-                if _is_span_call(item.context_expr):
-                    with_protected.add(id(item.context_expr))
-
-        # Build the CFG lazily, only when a manual span shows up.
-        for stmt_ast in ast.walk(func):
-            if isinstance(stmt_ast, ast.Expr) and _is_span_call(
-                    stmt_ast.value):
-                discarded.append(stmt_ast.value)
-            elif (isinstance(stmt_ast, ast.Assign)
-                  and len(stmt_ast.targets) == 1
-                  and isinstance(stmt_ast.targets[0], ast.Name)
-                  and _is_span_call(stmt_ast.value)):
-                if cfg is None:
-                    cfg = build_cfg(func)
-                node = cfg.node_for(stmt_ast)
-                if node is None:
-                    continue  # inside a nested function: its own CFG
-                var = stmt_ast.targets[0].id
-                key = f"{var}:{stmt_ast.lineno}"
-                spans[key] = (var, node)
-                gen[node.index] = frozenset({key})
-
-        for value in discarded:
-            yield context.diagnostic(
-                self, value,
-                "tracer span is created and discarded; use "
-                "`with tracer.span(...):` so it opens and closes")
-        if not spans or cfg is None:
-            return
-
-        # Kills: used as a context manager, explicitly closed, or escaped.
-        variables = {var for var, _ in spans.values()}
-        for node in cfg.statements():
-            stmt = node.stmt
-            assert stmt is not None
-            killed: set[str] = set()
-            for var in sorted(variables):
-                if any(key.startswith(f"{var}:")
-                       for key in gen.get(node.index, EMPTY)):
-                    continue
-                if self._closes_span(stmt, var) or _escapes_span(stmt, var):
-                    killed.update(key for key in spans
-                                  if key.startswith(f"{var}:"))
-            if killed:
-                kill[node.index] = frozenset(killed)
-
-        problem = _TableProblem(gen, kill)
-        solution = solve(cfg, problem)
-        open_exit = solution.before(cfg.exit)
-        open_raise = solution.before(cfg.raise_exit)
-        for key in sorted(spans):
-            var, node = spans[key]
-            if key in open_exit or key in open_raise:
-                where = ("an exception path"
-                         if key not in open_exit else "every path")
-                yield context.diagnostic(
-                    self, node.stmt,  # type: ignore[arg-type]
-                    f"span {var!r} is opened but not closed on {where}; "
-                    "use `with tracer.span(...):` or close in a finally:")
-
-    @staticmethod
-    def _closes_span(stmt: ast.stmt, var: str) -> bool:
-        # ``with s:`` / ``s.__exit__(...)`` / ``tracer._close(s)``.
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                expr = item.context_expr
-                if isinstance(expr, ast.Name) and expr.id == var:
-                    return True
-        for node in _own_scope_nodes(stmt):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)):
-                if (node.func.attr in ("__exit__", "_close", "close")
-                        and (_mentions_name(node.func.value, var)
-                             or any(_mentions_name(a, var)
-                                    for a in node.args))):
-                    return True
-        return False
-
-
-def _mentions_name(node: ast.AST, var: str) -> bool:
-    return any(isinstance(child, ast.Name) and child.id == var
-               for child in ast.walk(node))
-
-
-def _escapes_span(stmt: ast.stmt, var: str) -> bool:
-    if isinstance(stmt, ast.Return) and stmt.value is not None:
-        return _mentions_name(stmt.value, var)
-    for node in _own_scope_nodes(stmt):
-        if (isinstance(node, ast.Call)
-                and any(isinstance(arg, ast.Name) and arg.id == var
-                        for arg in node.args)):
-            func_attr = (node.func.attr
-                         if isinstance(node.func, ast.Attribute) else "")
-            if func_attr not in ("__exit__", "_close", "close"):
-                return True
-    return False
-
-
-class _TableProblem(GenKillProblem):
-    """A gen/kill problem from precomputed per-node tables."""
-
-    direction = "forward"
-    mode = "may"
-
-    def __init__(self, gen: dict[int, State],
-                 kill: dict[int, State]) -> None:
-        self._gen = gen
-        self._kill = kill
-
-    def gen(self, node: CFGNode) -> State:
-        return self._gen.get(node.index, EMPTY)
-
-    def kill(self, node: CFGNode) -> State:
-        return self._kill.get(node.index, EMPTY)
+            yield from pairing_findings(self, context, func, SPANS)
 
 
 # ======================================================================
@@ -574,19 +513,13 @@ class UnyieldedCoroutineRule(ProjectRule):
     rule_id = "SL012"
     severity = Severity.ERROR
     description = "generator called without yield from (silent no-op)"
-    #: Attribute calls that always produce a must-consume value.
-    kernel_attrs = frozenset({"use", "acquire", "timeout",
-                              "charge_statedb"})
 
     def check_project(self, project: ProjectContext
                       ) -> typing.Iterator[Diagnostic]:
-        for module_name in sorted(project.modules):
-            module = project.modules[module_name]
-            for qualname in sorted(project.functions):
-                info = project.functions[qualname]
-                if info.module != module_name:
-                    continue
-                yield from self._check_function(project, module, info)
+        for info in sorted(project.functions.values(),
+                           key=lambda info: (info.module, info.qualname)):
+            yield from self._check_function(
+                project, project.modules[info.module], info)
 
     def _check_function(self, project: ProjectContext, module: ModuleInfo,
                         info: FunctionInfo) -> typing.Iterator[Diagnostic]:
@@ -602,7 +535,7 @@ class UnyieldedCoroutineRule(ProjectRule):
                     info: FunctionInfo,
                     call: ast.Call) -> typing.Iterator[Diagnostic]:
         func = call.func
-        if isinstance(func, ast.Attribute) and func.attr in self.kernel_attrs:
+        if isinstance(func, ast.Attribute) and func.attr in MUST_CONSUME:
             label = _dotted_name(func) or func.attr
             if func.attr == "timeout":
                 # A Timeout self-schedules at construction, so the bare
@@ -624,7 +557,7 @@ class UnyieldedCoroutineRule(ProjectRule):
         resolved = project.resolve_call(module, info, call)
         if resolved is None:
             return
-        callee, confidence = resolved
+        callee = resolved[0]
         if not callee.is_generator:
             return
         yield info.context.diagnostic(
@@ -659,21 +592,11 @@ def _own_statements(func: FunctionAst) -> typing.Iterator[ast.stmt]:
 # SL014 — inter-procedural determinism taint
 # ======================================================================
 
-#: ``time`` module attributes that read the host clock.
-_WALL_CLOCKS = frozenset({
-    "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
-    "monotonic_ns", "process_time", "process_time_ns"})
-#: Builtins whose value depends on the process (hash randomization, ids).
-_HOST_BUILTINS = frozenset({"hash", "id"})
 #: Calls that cleanse taint (deterministic of their inputs' *contents*).
 _CLEANSERS = frozenset({
     "len", "sorted", "min", "max", "sum", "abs", "round", "range",
     "enumerate", "zip", "int", "float", "str", "repr", "bool", "tuple",
     "list"})
-#: Scheduling sinks: a tainted argument here perturbs the event schedule.
-_SINKS = frozenset({
-    "timeout", "send", "put", "succeed", "schedule", "jittered",
-    "exponential", "submit", "propose", "broadcast"})
 
 
 def _source_label(call: ast.Call, module: ModuleInfo) -> str | None:
@@ -681,25 +604,14 @@ def _source_label(call: ast.Call, module: ModuleInfo) -> str | None:
     func = call.func
     if isinstance(func, ast.Attribute):
         dotted = _dotted_name(func)
-        parts = dotted.split(".")
-        if len(parts) >= 2 and parts[-2] == "time" and (
-                parts[-1] in _WALL_CLOCKS):
-            return f"{dotted}()"
-        if parts[-1] in ("now", "today") and parts[0] in (
-                "datetime", "date") and not call.args and not call.keywords:
-            return f"{dotted}()"
-        if dotted in ("os.urandom", "uuid.uuid4"):
-            return f"{dotted}()"
-        return None
-    if isinstance(func, ast.Name):
-        if func.id in _HOST_BUILTINS:
+    elif isinstance(func, ast.Name):
+        if func.id in HOST_BUILTINS:
             return f"{func.id}()"
-        target = module.imports.get(func.id, "")
-        if target.startswith("time.") and (
-                target.split(".")[-1] in _WALL_CLOCKS):
-            return f"{target}()"
-        if target in ("uuid.uuid4", "os.urandom"):
-            return f"{target}()"
+        dotted = module.imports.get(func.id, "")
+    else:
+        return None
+    if host_clock(dotted, call) or dotted in HOST_ENTROPY:
+        return f"{dotted}()"
     return None
 
 
@@ -801,7 +713,7 @@ class DeterminismTaintRule(ProjectRule):
                         else:
                             ret_sources.add(label)
                 # Sink checks on every call in the statement.
-                for node in _own_scope_nodes(stmt):
+                for node in walk_same_scope(stmt):
                     if not isinstance(node, ast.Call):
                         continue
                     self._check_sinks(
@@ -901,7 +813,7 @@ class DeterminismTaintRule(ProjectRule):
         sink_name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else "")
         all_args = list(call.args) + [kw.value for kw in call.keywords]
-        if sink_name in _SINKS:
+        if sink_name in SCHEDULING_SINKS:
             for arg in all_args:
                 for label in sorted(origins(arg)):
                     if label.startswith("param:"):
@@ -954,7 +866,6 @@ class RngStreamAliasRule(ProjectRule):
     rule_id = "SL015"
     severity = Severity.WARNING
     description = "RNG stream name shared across components"
-    _draw_attrs = frozenset({"stream", "jittered", "exponential"})
 
     def check_project(self, project: ProjectContext
                       ) -> typing.Iterator[Diagnostic]:
@@ -982,8 +893,6 @@ class RngStreamAliasRule(ProjectRule):
 
     def _stream_calls(self, module: ModuleInfo
                       ) -> typing.Iterator[tuple[ast.Call, str]]:
-        class_stack: list[str] = []
-
         def visit(node: ast.AST, scope: str) -> typing.Iterator[
                 tuple[ast.Call, str]]:
             for child in ast.iter_child_nodes(node):
@@ -998,7 +907,7 @@ class RngStreamAliasRule(ProjectRule):
 
     def _is_draw(self, call: ast.Call) -> bool:
         if not (isinstance(call.func, ast.Attribute)
-                and call.func.attr in self._draw_attrs):
+                and call.func.attr in RNG_DRAWS):
             return False
         receiver = _dotted_name(call.func.value)
         if "rng" not in receiver.lower():

@@ -2,7 +2,9 @@
 
 ``strict`` is the full v2 rule set — the ten per-file AST rules, the
 three flow rules (SL011/SL013/SL016), and (in project mode) the three
-cross-file rules (SL012/SL014/SL015).  It applies to ``src/``.
+cross-file rules (SL012/SL014/SL015).  It applies to ``src/``.  The
+``project`` switch is the one place that decides whether the cross-file
+rules run: a linter runs every project rule its rule list holds.
 
 ``relaxed`` is for harness code — ``tests/`` and ``benchmarks/`` — where
 some determinism rules are wrong by construction:

@@ -24,6 +24,7 @@ import typing
 
 from repro.analysis_tools.simlint.diagnostics import Diagnostic, Severity
 from repro.analysis_tools.simlint.engine import FileContext, Rule
+from repro.analysis_tools.simlint.rules import _dotted_name
 
 
 @dataclasses.dataclass
@@ -158,7 +159,7 @@ class ProjectContext:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 methods[item.name] = self._add_function(
                     module, item, cls=node.name)
-        bases = [_base_name(base) for base in node.bases]
+        bases = [_dotted_name(base) for base in node.bases]
         module.classes[node.name] = ClassInfo(
             qualname=f"{module.name}.{node.name}", name=node.name,
             module=module.name, node=node, methods=methods,
@@ -305,15 +306,3 @@ def _is_generator(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
             return True
         stack.extend(ast.iter_child_nodes(item))
     return False
-
-
-def _base_name(base: ast.expr) -> str:
-    parts: list[str] = []
-    node: ast.AST = base
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""

@@ -15,6 +15,9 @@ SL008     module-level mutable state in ``peer/``/``orderer/``/``ledger/``
 SL009     direct mutation of ``node.crashed`` outside the crash API
 SL010     reaching into state-database internals outside the ledger
 ========  ==========================================================
+
+The kernel, tracer and host names that every simlint rule matches are
+one table in this module (the vocabulary, below ``_dotted_name``).
 """
 
 from __future__ import annotations
@@ -36,6 +39,73 @@ def _dotted_name(node: ast.AST) -> str:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return ""
+
+
+# ----------------------------------------------------------------------
+# The vocabulary: every kernel, tracer and host name a rule matches.
+# A call added to the kernel API needs one edit here, and every rule
+# that reads its role picks it up.
+# ----------------------------------------------------------------------
+
+#: The slot call whose caller reads ``request.triggered`` to decide
+#: whether to wait for the grant (SL011, SL016).
+CLAIM = "claim"
+#: Kernel calls that hand out a resource slot (SL011, SL016).
+SLOT_CALLS = frozenset({"request", "acquire", CLAIM})
+#: The kernel call that hands a slot back (SL011, SL016).
+RELEASE = "release"
+#: ``yield from`` sub-generators that charge simulated service time; a
+#: slot held across one is busy on purpose (SL016).
+CHARGED_SUBGENERATORS = frozenset({
+    "use", "acquire", "charge_statedb", "compute"})
+#: ``yield``-ed calls that are bounded, charged waits (SL016).
+CHARGED_YIELDS = frozenset({"timeout"})
+#: ``yield``-ed calls that wait open-endedly (SL016).
+BLOCKING_WAITS = frozenset({"get", "all_of", "any_of", "wait", "join"})
+#: Kernel calls whose result must be consumed: a sub-generator runs only
+#: when driven, and a timeout schedules itself (SL012).  ``compute`` is
+#: a project generator, which SL012 resolves to its definition.
+MUST_CONSUME = frozenset({"use", "acquire", "charge_statedb", "timeout"})
+#: Calls whose arguments decide what the kernel schedules, and when: a
+#: host-dependent argument perturbs the schedule (SL014).
+SCHEDULING_SINKS = frozenset({
+    "timeout", "send", "put", "succeed", "schedule", "jittered",
+    "exponential", "submit", "propose", "broadcast"})
+#: Calls that (transitively) schedule events, so the order they run in
+#: is the schedule's order (SL003).
+SCHEDULING_CALLS = SCHEDULING_SINKS | SLOT_CALLS | {RELEASE} | {
+    "process", "get", "fail", "interrupt", "_enqueue"}
+#: ``RngRegistry`` methods that draw from a named stream (SL015).
+RNG_DRAWS = frozenset({"stream", "jittered", "exponential"})
+#: Attributes that hold the float simulated clock (SL006).
+SIM_CLOCK_ATTRS = frozenset({"now", "_now"})
+#: The tracer call that opens a span (on a receiver named ``*tracer*``),
+#: and the calls that close one (SL013).
+SPAN_OPEN = "span"
+SPAN_CLOSES = frozenset({"__exit__", "_close", "close"})
+#: ``time`` functions that read the host clock (SL002, SL014).
+HOST_CLOCKS = frozenset({
+    "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
+    "monotonic_ns", "process_time", "process_time_ns"})
+#: Builtins whose value depends on the process: hash randomization and
+#: object ids (SL014).
+HOST_BUILTINS = frozenset({"hash", "id"})
+#: Calls that read host entropy (SL014).
+HOST_ENTROPY = frozenset({"os.urandom", "uuid.uuid4"})
+
+
+def host_clock(dotted: str, call: ast.Call | None = None) -> bool:
+    """Whether the name ``dotted`` reads the host clock (SL002, SL014).
+
+    ``time.<clock>`` always does; ``datetime.now`` and ``date.today`` do
+    when ``call`` passes them no argument.
+    """
+    head, _, tail = dotted.rpartition(".")
+    if tail in HOST_CLOCKS and head.rpartition(".")[2] == "time":
+        return True
+    return (call is not None and not call.args and not call.keywords
+            and tail in ("now", "today")
+            and dotted.partition(".")[0] in ("datetime", "date"))
 
 
 def _is_mutable_construction(node: ast.AST) -> bool:
@@ -105,18 +175,14 @@ class WallClockRule(Rule):
     severity = Severity.ERROR
     description = "wall-clock time source in simulated code"
     allowlist_prefixes = ("obs/",)
-    _clocks = frozenset({
-        "time", "time_ns", "perf_counter", "perf_counter_ns",
-        "monotonic", "monotonic_ns", "process_time", "process_time_ns"})
 
     def check(self, context: FileContext) -> typing.Iterator[Diagnostic]:
         if context.relpath.startswith(self.allowlist_prefixes):
             return
         for node in ast.walk(context.tree):
             if isinstance(node, ast.Attribute):
-                if (isinstance(node.value, ast.Name)
-                        and node.value.id == "time"
-                        and node.attr in self._clocks):
+                if node.attr in HOST_CLOCKS and host_clock(
+                        _dotted_name(node)):
                     yield context.diagnostic(
                         self, node,
                         f"wall-clock read time.{node.attr}; simulated code "
@@ -124,18 +190,15 @@ class WallClockRule(Rule):
             elif isinstance(node, ast.ImportFrom):
                 if node.module == "time":
                     for alias in node.names:
-                        if alias.name in self._clocks:
+                        if alias.name in HOST_CLOCKS:
                             yield context.diagnostic(
                                 self, node,
                                 f"import of wall clock time.{alias.name}; "
                                 "simulated code must use sim.now")
             elif isinstance(node, ast.Call):
                 name = _dotted_name(node.func)
-                tail = name.split(".")[-1] if name else ""
-                root = name.split(".")[0] if name else ""
-                if (tail in ("now", "today")
-                        and root in ("datetime", "date")
-                        and not node.args and not node.keywords):
+                # A time.<clock>() call is reported at its attribute.
+                if host_clock(name, node) and not host_clock(name):
                     yield context.diagnostic(
                         self, node,
                         f"argless {name}() reads the wall clock; simulated "
@@ -154,11 +217,6 @@ class UnorderedIterationRule(Rule):
     rule_id = "SL003"
     severity = Severity.ERROR
     description = "unordered iteration feeding event scheduling"
-    #: Method calls that (transitively) schedule simulation events.
-    _scheduling = frozenset({
-        "send", "process", "timeout", "put", "get", "succeed", "fail",
-        "request", "claim", "release", "interrupt", "schedule", "_enqueue",
-        "propose", "submit", "broadcast"})
 
     def check(self, context: FileContext) -> typing.Iterator[Diagnostic]:
         set_names = self._collect_set_names(context.tree)
@@ -239,15 +297,15 @@ class UnorderedIterationRule(Rule):
             return f"the set {name!r}"
         return None
 
-    @classmethod
-    def _schedules(cls, body: ast.AST) -> bool:
+    @staticmethod
+    def _schedules(body: ast.AST) -> bool:
         for node in ast.walk(body):
             if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
                 return True
             if isinstance(node, ast.Call):
                 func = node.func
                 if (isinstance(func, ast.Attribute)
-                        and func.attr in cls._scheduling):
+                        and func.attr in SCHEDULING_CALLS):
                     return True
         return False
 
@@ -341,7 +399,6 @@ class FloatTimeEqualityRule(Rule):
     rule_id = "SL006"
     severity = Severity.ERROR
     description = "==/!= comparison against simulated time"
-    _clock_attrs = frozenset({"now", "_now"})
 
     def check(self, context: FileContext) -> typing.Iterator[Diagnostic]:
         for node in ast.walk(context.tree):
@@ -353,7 +410,7 @@ class FloatTimeEqualityRule(Rule):
                     continue
                 for side in (left, right):
                     if (isinstance(side, ast.Attribute)
-                            and side.attr in self._clock_attrs):
+                            and side.attr in SIM_CLOCK_ATTRS):
                         yield context.diagnostic(
                             self, node,
                             f"==/!= against {_dotted_name(side)} (float "

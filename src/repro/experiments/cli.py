@@ -152,8 +152,7 @@ def _run_lint(args) -> int:
     files_checked = 0
     suppressed = 0
     for profile, paths in runs:
-        linter = linter_for(profile, project=project)
-        partial = linter.lint_paths(paths, project=project)
+        partial = linter_for(profile, project=project).lint_paths(paths)
         diagnostics.extend(partial.diagnostics)
         files_checked += partial.files_checked
         suppressed += partial.suppressed
@@ -173,11 +172,12 @@ def _run_lint(args) -> int:
     fresh = (lint_output.new_errors(result, baseline)
              if baseline is not None else None)
 
+    text = result.render()
+    if fresh is not None:
+        text += (f"\nsimlint: {len(fresh)} new error(s) vs baseline "
+                 f"{args.baseline}")
     if args.lint_format == "text":
-        report = result.render()
-        if fresh is not None:
-            report += (f"\nsimlint: {len(fresh)} new error(s) vs baseline "
-                       f"{args.baseline}")
+        report = text
     else:
         if args.lint_format == "sarif":
             payload = lint_output.to_sarif(
@@ -190,6 +190,8 @@ def _run_lint(args) -> int:
         report = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         pathlib.Path(args.out).write_text(report + "\n", encoding="utf-8")
+        if args.lint_format != "text":
+            print(text)  # the log still lists the findings
         print(f"simlint: report written to {args.out}")
     else:
         print(report)
@@ -559,7 +561,9 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
                             default="text",
                             choices=["text", "json", "sarif"],
                             help="report format (default text; sarif is "
-                                 "SARIF 2.1.0 for code-scanning upload)")
+                                 "SARIF 2.1.0 for code-scanning upload); "
+                                 "with --out, a json/sarif report goes to "
+                                 "the file and the text report to stdout")
     lint_group.add_argument("--write-baseline", dest="write_baseline",
                             default=None, metavar="PATH",
                             help="accept the current findings: write "

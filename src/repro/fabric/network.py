@@ -8,6 +8,8 @@ validate phase.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.chaincode import (
     KVStoreChaincode,
     MoneyTransferChaincode,
@@ -56,7 +58,10 @@ class FabricNetwork:
             bandwidth=topology.network_bandwidth,
             jitter=topology.network_jitter)
         if not topology.tls_enabled:
-            self.context.costs.tls_per_message_cpu = 0.0
+            # On a copy: the caller may build a TLS-on network from the
+            # same cost model later.
+            self.context.costs = dataclasses.replace(
+                self.context.costs, tls_per_message_cpu=0.0)
         #: Observability layer (tracer + monitors); opt-in and off by
         #: default so unobserved runs carry zero instrumentation cost.
         self.obs: Observability | None = None

@@ -276,8 +276,11 @@ class BlockValidator:
             self.ledger.commit_block(block, final_flags)
             yield from peer.charge_statedb(backend.drain_cost(), "commit")
             self.blocks_validated += 1
-            for envelope, flag in zip(block.transactions, final_flags):
-                peer.notify_commit(envelope.tx_id, flag)
+            # Clients register commit listeners only with their anchor
+            # peers, so most peers hold none.
+            if peer.listener_count:
+                for envelope, flag in zip(block.transactions, final_flags):
+                    peer.notify_commit(envelope.tx_id, flag)
             interval = peer.statedb_config.snapshot_interval
             if interval > 0 and self.ledger.height % interval == 0:
                 self.ledger.take_snapshot()

@@ -277,27 +277,6 @@ def test_loop_fixpoint_accumulates_iteration_facts():
     assert "a" in solution.before(node_at(cfg, "'tail'"))
 
 
-class MustAssign(TrackAssign):
-    mode = "must"
-
-
-def test_must_mode_intersects_branches():
-    cfg = cfg_for("""
-        def f(x):
-            if x:
-                a = 1
-                both = 2
-            else:
-                b = 1
-                both = 2
-            tail = 3
-    """)
-    solution = solve(cfg, MustAssign())
-    facts = solution.before(node_at(cfg, "'tail'"))
-    assert "both" in facts
-    assert "a" not in facts and "b" not in facts
-
-
 def test_exception_edge_does_not_apply_gen():
     """An acquisition that raises never held the slot: the canonical
     ``x = acquire(); try: ... finally: release(x)`` must analyse clean."""

@@ -155,10 +155,10 @@ def test_lint_paths_project_mode_runs_cross_file_rules(tmp_path):
                 yield 1
         """,
     })
-    linter = linter_for("strict", project=True)
-    with_project = linter.lint_paths([root], root=root, project=True)
+    with_project = linter_for("strict", project=True).lint_paths(
+        [root], root=root)
     assert "SL012" in {d.rule for d in with_project.diagnostics}
-    without = linter.lint_paths([root], root=root, project=False)
+    without = linter_for("strict").lint_paths([root], root=root)
     assert "SL012" not in {d.rule for d in without.diagnostics}
 
 
@@ -174,7 +174,7 @@ def test_project_rule_findings_respect_suppressions(tmp_path):
         """,
     })
     result = linter_for("strict", project=True).lint_paths(
-        [root], root=root, project=True)
+        [root], root=root)
     assert "SL012" not in {d.rule for d in result.diagnostics}
     assert result.suppressed >= 1
 
@@ -201,7 +201,7 @@ def test_lint_output_ordering_is_deterministic(tmp_path):
         """,
     })
     runs = [linter_for("strict", project=True).lint_paths(
-                [root], root=root, project=True) for _ in range(3)]
+                [root], root=root) for _ in range(3)]
     keys = [[(d.path, d.line, d.column, d.rule, d.message)
              for d in run.diagnostics] for run in runs]
     assert keys[0] == keys[1] == keys[2]
@@ -226,7 +226,7 @@ def result_for(tmp_path):
         """,
     })
     return linter_for("strict", project=True).lint_paths(
-        [root], root=root, project=True)
+        [root], root=root)
 
 
 def test_to_json_shape(tmp_path):

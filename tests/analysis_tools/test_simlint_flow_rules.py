@@ -137,6 +137,26 @@ def test_sl011_clean_on_claim_released_in_finally():
     """) == []
 
 
+def test_sl011_exception_only_leak_under_an_outer_finally():
+    # 'other' leaks only if an interrupt lands at its grant wait.  The
+    # outer finally body is laid out once, so that exception-path fact
+    # also reaches the finally's normal exit: still an exception path.
+    diags = lint("""
+        def run(self):
+            held = self.a.request()
+            try:
+                yield held
+                other = self.b.request()
+                yield other
+                self.b.release(other)
+            finally:
+                self.a.release(held)
+    """)
+    assert [d.rule for d in diags] == ["SL011"]
+    assert "'other'" in diags[0].message
+    assert "leaks if an exception" in diags[0].message
+
+
 def test_sl011_kernel_resources_file_is_allowlisted():
     assert rules_fired("""
         def acquire(self):
@@ -156,6 +176,20 @@ def test_sl013_manual_span_not_closed_on_exception_path():
             span = self.tracer.span("endorse", txid)
             yield from self._work()
             span.close()
+    """)
+    assert [d.rule for d in diags] == ["SL013"]
+    assert "exception path" in diags[0].message
+
+
+def test_sl013_exception_only_leak_under_an_outer_finally():
+    diags = lint("""
+        def run(self):
+            try:
+                span = self.tracer.span("endorse", txid)
+                yield from self._work()
+                span.close()
+            finally:
+                self.cleanup()
     """)
     assert [d.rule for d in diags] == ["SL013"]
     assert "exception path" in diags[0].message

@@ -124,6 +124,22 @@ def test_lint_subcommand_clean_on_shipped_tree(capsys):
     assert "0 finding(s)" in output
 
 
+def test_lint_machine_report_to_a_file_still_prints_the_findings(
+        tmp_path, capsys):
+    import json
+
+    bad = tmp_path / "peer"
+    bad.mkdir()
+    (bad / "bad.py").write_text("import random\n", encoding="utf-8")
+    report = tmp_path / "report.sarif"
+    assert main(["lint", "--path", str(tmp_path), "--format", "sarif",
+                 "--out", str(report)]) == 1
+    output = capsys.readouterr().out
+    assert "SL001" in output and "1 finding(s)" in output
+    (result,) = json.loads(report.read_text())["runs"][0]["results"]
+    assert result["ruleId"] == "SL001"
+
+
 def test_lint_subcommand_flags_bad_path(tmp_path, capsys):
     bad = tmp_path / "peer"
     bad.mkdir()

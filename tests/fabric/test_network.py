@@ -1,5 +1,7 @@
 """Integration tests: the fully wired Fabric network."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.config import (
@@ -11,6 +13,7 @@ from repro.common.config import (
 from repro.common.types import KVWrite
 from repro.experiments.runner import make_topology, make_workload
 from repro.fabric.network import FabricNetwork
+from repro.runtime.costs import CostModel
 
 
 def build(kind="solo", peers=3, policy="OR(1..n)", rate=40, duration=8,
@@ -125,6 +128,41 @@ def test_tls_disabled_topology_runs():
     assert network.context.costs.tls_per_message_cpu == 0.0
     metrics = network.run_workload()
     assert metrics.overall_throughput > 10
+
+
+def test_tls_disabled_network_leaves_the_callers_cost_model_alone():
+    costs = CostModel()
+    topology = dataclasses.replace(make_topology("solo", "OR10", 4),
+                                   tls_enabled=False)
+    network = FabricNetwork(topology, make_workload(10, 4), costs=costs)
+    assert network.context.costs.tls_per_message_cpu == 0.0
+    assert costs.tls_per_message_cpu == CostModel().tls_per_message_cpu
+    tls_on = FabricNetwork(make_topology("solo", "OR10", 4),
+                           make_workload(10, 4), costs=costs)
+    assert tls_on.context.costs.tls_per_message_cpu > 0.0
+
+
+def test_only_peers_holding_listeners_notify_commits():
+    network = build(peers=2, committing_only=2, rate=20, gossip=True)
+    calls = {peer.name: 0 for peer in network.peers}
+
+    def counting(peer):
+        notify = peer.notify_commit
+
+        def wrapper(tx_id, code):
+            calls[peer.name] += 1
+            notify(tx_id, code)
+        return wrapper
+
+    for peer in network.peers:
+        peer.notify_commit = counting(peer)
+    metrics = network.run_workload()
+    assert metrics.overall_throughput > 10
+    committing = [peer for peer in network.peers if not peer.is_endorsing]
+    assert len(committing) == 2
+    assert all(peer.ledger.height > 1 for peer in committing)
+    assert [calls[peer.name] for peer in committing] == [0, 0]
+    assert sum(calls.values()) > 0
 
 
 def test_run_experiment_facade():
