@@ -21,7 +21,7 @@ from repro.analysis_tools.simlint.engine import (
     lint_paths,
     lint_source,
 )
-from repro.analysis_tools.simlint.flow_rules import flow_rules, project_rules
+from repro.analysis_tools.simlint.flow_rules import project_rules
 from repro.analysis_tools.simlint.profiles import (
     relaxed_rules,
     rules_for,
@@ -40,7 +40,6 @@ __all__ = [
     "Rule",
     "Severity",
     "default_rules",
-    "flow_rules",
     "lint_paths",
     "lint_source",
     "project_rules",

@@ -31,6 +31,7 @@ a pool in a way the phase model misattributes (SL016).
 from __future__ import annotations
 
 import ast
+import collections
 import dataclasses
 import typing
 
@@ -633,6 +634,21 @@ class _FunctionFacts:
         return (self.ret_sources, self.param_to_ret, self.param_to_sink)
 
 
+class _SummaryReads:
+    """The callee summaries one analysis reads, recorded as it reads
+    them: the functions to re-analyse when one of them changes."""
+
+    __slots__ = ("summaries", "read")
+
+    def __init__(self, summaries: dict[str, _FunctionFacts]) -> None:
+        self.summaries = summaries
+        self.read: set[str] = set()
+
+    def get(self, qualname: str) -> _FunctionFacts | None:
+        self.read.add(qualname)
+        return self.summaries.get(qualname)
+
+
 class DeterminismTaintRule(ProjectRule):
     """SL014: host-dependent values must not reach scheduling sinks.
 
@@ -649,39 +665,53 @@ class DeterminismTaintRule(ProjectRule):
     #: reporting calls are not simulation sinks.
     allowlist_prefixes = ("obs/",)
 
+    #: The termination bound: at most this many analyses per function
+    #: on average, the work of as many passes over the whole project.
     MAX_PASSES = 8
 
     def check_project(self, project: ProjectContext
                       ) -> typing.Iterator[Diagnostic]:
+        """Summaries to a fixpoint over a worklist, then the findings.
+
+        Every function is analysed once, in name order; a function whose
+        summary changes re-queues the functions that read it.  The
+        summaries only grow, so each function's last analysis read the
+        final summaries, and its findings are the ones reported.
+        """
         summaries: dict[str, _FunctionFacts] = {
             qualname: _FunctionFacts()
             for qualname in project.functions}
         order = sorted(project.functions)
-        for _ in range(self.MAX_PASSES):
-            changed = False
-            for qualname in order:
-                info = project.functions[qualname]
-                module = project.modules[info.module]
-                facts, _diags = self._analyze(project, module, info,
-                                              summaries)
-                if facts.as_tuple() != summaries[qualname].as_tuple():
-                    summaries[qualname] = facts
-                    changed = True
-            if not changed:
-                break
+        readers: dict[str, set[str]] = {}
+        findings: dict[str, list[Diagnostic]] = {}
+        queue = collections.deque(order)
+        queued = set(order)
+        budget = self.MAX_PASSES * len(order)
+        while queue and budget:
+            budget -= 1
+            qualname = queue.popleft()
+            queued.discard(qualname)
+            info = project.functions[qualname]
+            reads = _SummaryReads(summaries)
+            facts, findings[qualname] = self._analyze(
+                project, project.modules[info.module], info, reads)
+            for callee in reads.read:
+                readers.setdefault(callee, set()).add(qualname)
+            if facts.as_tuple() != summaries[qualname].as_tuple():
+                summaries[qualname] = facts
+                for reader in sorted(readers.get(qualname, ())):
+                    if reader not in queued:
+                        queued.add(reader)
+                        queue.append(reader)
         for qualname in order:
             info = project.functions[qualname]
-            if info.context.relpath.startswith(self.allowlist_prefixes):
-                continue
-            module = project.modules[info.module]
-            _facts, diags = self._analyze(project, module, info, summaries)
-            yield from diags
+            if not info.context.relpath.startswith(self.allowlist_prefixes):
+                yield from findings[qualname]
 
     # -- intra-procedural propagation ----------------------------------
 
     def _analyze(self, project: ProjectContext, module: ModuleInfo,
-                 info: FunctionInfo,
-                 summaries: dict[str, _FunctionFacts]
+                 info: FunctionInfo, summaries: _SummaryReads
                  ) -> tuple[_FunctionFacts, list[Diagnostic]]:
         params = [arg.arg for arg in info.node.args.args]
         if params and params[0] in ("self", "cls") and info.cls is not None:
@@ -750,7 +780,7 @@ class DeterminismTaintRule(ProjectRule):
     def _origins(self, expr: ast.expr, env: dict[str, frozenset[str]],
                  project: ProjectContext, module: ModuleInfo,
                  info: FunctionInfo,
-                 summaries: dict[str, _FunctionFacts]) -> frozenset[str]:
+                 summaries: _SummaryReads) -> frozenset[str]:
         if isinstance(expr, ast.Name):
             return env.get(expr.id, frozenset())
         if isinstance(expr, ast.Constant):
@@ -807,7 +837,7 @@ class DeterminismTaintRule(ProjectRule):
                      diagnostics: list[Diagnostic],
                      project: ProjectContext, module: ModuleInfo,
                      info: FunctionInfo,
-                     summaries: dict[str, _FunctionFacts],
+                     summaries: _SummaryReads,
                      report: bool) -> None:
         func = call.func
         sink_name = func.attr if isinstance(func, ast.Attribute) else (

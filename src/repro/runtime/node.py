@@ -2,13 +2,13 @@
 
 Peers, ordering service nodes, Kafka brokers, ZooKeeper nodes, and clients
 all extend :class:`NodeBase`.  A node registers message handlers by type;
-the receive loop dispatches each incoming message to its handler as a new
-process, so handlers that block (on CPU, timers, or further messages) do not
-stall message intake — mirroring gRPC servers, which accept concurrently.
+the receive loop hands each incoming message to its own dispatch, so
+handlers that block (on CPU, timers, or further messages) do not stall
+message intake — mirroring gRPC servers, which accept concurrently.
 
 The handler rule: a handler that never waits is a plain function; one that
-waits is a generator, which the dispatch process drives with ``yield from``.
-Either runs once the message's TLS charge ends.
+waits is a generator, which runs in a process of its own.  Either starts
+once the message's TLS charge ends.
 """
 
 from __future__ import annotations
@@ -17,14 +17,62 @@ import typing
 
 from repro.common.errors import ConfigurationError
 from repro.runtime.context import NetworkContext
-from repro.sim.core import Process
-from repro.sim.events import Event, Timeout
+from repro.sim.core import Courier, Process, Simulation
+from repro.sim.events import _PENDING, Event, Timeout
 from repro.sim.network import Message, NodeDownError
-from repro.sim.resources import Resource
+from repro.sim.resources import Request, Resource
 
+#: What a waiting handler returns: the generator of its waits.
+Waits = typing.Generator[Event, typing.Any, None]
 #: A plain function, or a generator function when the handler waits.
-Handler = typing.Callable[
-    [Message], typing.Generator[Event, typing.Any, None] | None]
+Handler = typing.Callable[[Message], Waits | None]
+
+
+def _dispatch(waits: Waits) -> Waits:
+    """The generator of a waiting handler's process: its name labels the
+    handler's pops as its message's dispatch."""
+    yield from waits
+
+
+def _run_handler(sim: Simulation, handler: Handler,
+                 message: Message) -> None:
+    """Call ``handler``; a generator handler's waits get an eager process,
+    so its first segment runs now, in the caller's pop."""
+    waits = handler(message)
+    if waits is not None:
+        Process(sim, _dispatch(waits), daemon=True, eager=True)
+
+
+class _Dispatch(Courier):
+    """One received message's TLS charge, then its handler.
+
+    The receive loop claims a core.  Its grant starts the TLS timeout,
+    whose end releases the core and calls the handler.  These are the
+    events, in the order, that a process waiting on each in turn would
+    see, and their pops carry the label ``_dispatch``, as do the later
+    pops of a waiting handler's process.
+    """
+
+    __slots__ = ("node", "handler", "message", "request")
+
+    name = "_dispatch"
+
+    def __init__(self, node: "NodeBase", handler: Handler,
+                 message: Message, request: Request) -> None:
+        self.node = node
+        self.handler = handler
+        self.message = message
+        self.request = request
+
+    def _charge(self, _granted: Event) -> None:
+        node = self.node
+        timeout = Timeout(node.sim, node.costs.tls_per_message_cpu)
+        timeout.callbacks.append(self._handle)  # type: ignore[union-attr]
+
+    def _handle(self, _charged: Event) -> None:
+        request = self.request
+        request.resource.release(request)
+        _run_handler(self.node.sim, self.handler, self.message)
 
 
 class NodeBase:
@@ -100,30 +148,19 @@ class NodeBase:
                 raise ConfigurationError(
                     f"{self.name}: no handler for {message.msg_type!r} "
                     f"(from {message.source})")
-            # Direct Process construction (not sim.process()): one spawn
-            # per delivered message makes the factory frame measurable.
-            Process(self.sim, self._dispatch(handler, message), daemon=True,
-                    eager=True)
-
-    def _dispatch(self, handler: Handler, message: Message):
-        # The TLS charge is cpu.use() flattened inline: one _dispatch per
-        # received message makes this the second-hottest generator in a
-        # reference run, and the sub-generator's create/delegate overhead
-        # is measurable.  Same events in the same order (Request, Timeout).
-        tls = self.costs.tls_per_message_cpu
-        if tls > 0:
-            cpu = self.cpu
-            request = cpu.request()
-            try:
-                # Grant wait inside the try: an interrupt here must
-                # still return the slot.
-                yield request
-                yield Timeout(self.sim, tls)
-            finally:
-                cpu.release(request)
-        waits = handler(message)
-        if waits is not None:
-            yield from waits
+            if self.costs.tls_per_message_cpu > 0:
+                # The TLS charge: claim a core and, when one is free, push
+                # the grant as ``request()`` would.
+                request = self.cpu.claim()
+                if request._value is not _PENDING:
+                    sim = self.sim
+                    sim._fifo.append((sim._now, sim._seq, request))
+                    sim._seq += 1
+                dispatch = _Dispatch(self, handler, message, request)
+                request.callbacks.append(  # type: ignore[union-attr]
+                    dispatch._charge)
+            else:
+                _run_handler(self.sim, handler, message)
 
     # ------------------------------------------------------------------
     # CPU helpers

@@ -129,14 +129,17 @@ class Simulation:
         instead of scheduling an init event at the current time.  The
         process's first actions (resource claims, sends) then happen at
         spawn rather than after one extra pop of the event loop — correct
-        whenever spawn order is the ordering that matters, as it is for
-        message transmission and dispatch (FIFO NICs and mailboxes
-        preserve per-node ordering either way, and the timestamp is
-        identical).  Leave it off for processes whose first actions race
-        other same-time processes through a shared resource.
+        whenever spawn order is the ordering that matters, as it is for a
+        block's VSCC jobs and a message handler that waits (the jobs
+        claim the worker pool in list order, and the handler's first
+        segment runs in the pop that ends its message's TLS charge).
+        Leave it off for processes whose first actions race other
+        same-time processes through a shared resource.
 
-        Message dispatch and transmission — one process each per message —
-        use both flags to keep ~2 pops per message off the schedule.
+        A waiting handler's process uses both flags, which keeps its init
+        and completion pops off the schedule.  A message's own passage and
+        dispatch build no process at all: they are :class:`Courier`
+        callbacks.
         """
         return Process(self, generator, daemon=daemon, eager=eager)
 
@@ -281,12 +284,32 @@ class Simulation:
         raise event.value
 
 
+class Courier:
+    """Base of an activity driven by event callbacks, not by a generator.
+
+    A courier walks a fixed chain of waits: each step is one of its bound
+    methods, registered on the event the previous step pushed.  It builds
+    no generator and no completion event, so nothing can join it, and an
+    exception in a step raises straight out of :meth:`Simulation.run`.
+    :func:`~repro.sim.sanitizer.event_owner` labels a pop whose callback
+    is bound to a courier by the class's :attr:`name`, as it labels a
+    process by its generator's name.
+    """
+
+    __slots__ = ()
+
+    #: The owner label of every pop that one of this courier's steps
+    #: receives; each subclass names itself.
+    name: typing.ClassVar[str]
+
+
 class _EagerInitSentinel:
     """Stand-in for the init event of eager process spawns.
 
     ``Process._resume`` reads only ``_ok``/``_value`` from a successful
     event, and an eager init is invisible to everything else, so a single
-    shared instance replaces ~10^5 per-run Event allocations.
+    shared instance replaces ~10^5 per-run Event allocations (one per
+    VSCC job, waiting message handler and transaction flow).
     """
 
     __slots__ = ()
@@ -311,8 +334,8 @@ class Process(Event):
 
     def __init__(self, sim: Simulation, generator: ProcessGenerator,
                  daemon: bool = False, eager: bool = False) -> None:
-        # Event.__init__ inlined: one Process per message/dispatch/VSCC job
-        # makes even the super() frame measurable.
+        # Event.__init__ inlined: one Process per VSCC job and waiting
+        # message handler makes even the super() frame measurable.
         self.sim = sim
         self.callbacks = []
         self._value = _SENTINEL_PENDING

@@ -27,9 +27,9 @@ import dataclasses
 import itertools
 import typing
 
-from repro.sim.core import Process
-from repro.sim.events import Event, Timeout
-from repro.sim.resources import Resource, Store
+from repro.sim.core import Courier
+from repro.sim.events import _PENDING, Event, Timeout
+from repro.sim.resources import Request, Resource, Store
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.core import Simulation
@@ -85,6 +85,76 @@ class Link:
 
 class NodeDownError(Exception):
     """Raised when sending from a node that has been crashed."""
+
+
+class _Passage(Courier):
+    """One message's way through the network, as three event callbacks.
+
+    :meth:`Network.send` claims the sender's NIC.  Its grant starts the
+    serialization timeout; that timeout's end releases the NIC and starts
+    the propagation timeout, whose end delivers the message or drops it.
+    These are the events, in the order, that a process waiting on each in
+    turn would see, and their pops carry the label ``_transmit``.
+    """
+
+    __slots__ = ("network", "message", "link", "request")
+
+    name = "_transmit"
+
+    def __init__(self, network: "Network", message: Message, link: Link,
+                 request: Request) -> None:
+        self.network = network
+        self.message = message
+        self.link = link
+        self.request = request
+
+    def _serialize(self, _granted: Event) -> None:
+        timeout = Timeout(self.network.sim,
+                          self.message.size / self.link.bandwidth)
+        timeout.callbacks.append(self._propagate)  # type: ignore[union-attr]
+
+    def _propagate(self, _serialized: Event) -> None:
+        request = self.request
+        request.resource.release(request)
+        network = self.network
+        message = self.message
+        link = self.link
+        link.bytes_sent += message.size
+        link.messages_sent += 1
+        # Inlined RngRegistry.jittered (same draw semantics: no stream
+        # consumption when jitter is off, clamped uniform otherwise).
+        # Latency streams are single-signature (every draw is this
+        # uniform), so they run through vectorised BatchSamplers; the
+        # sampler's uniform() applies the identical float transform, so
+        # latencies are bit-identical to sequential draws.
+        jitter = network.latency_jitter
+        mean = link.latency
+        if jitter <= 0:
+            latency = mean
+        else:
+            source = message.source
+            sampler = network._latency_rng.get(source)
+            if sampler is None:
+                sampler = network.rng.sampler(f"net.latency.{source}")
+                network._latency_rng[source] = sampler
+            latency = sampler.uniform(mean * (1.0 - jitter),
+                                      mean * (1.0 + jitter))
+            if latency < 0.0:
+                latency = 0.0
+        timeout = Timeout(network.sim, latency)
+        timeout.callbacks.append(self._deliver)  # type: ignore[union-attr]
+
+    def _deliver(self, _propagated: Event) -> None:
+        network = self.network
+        message = self.message
+        link = self.link
+        down = network._down_nodes
+        if (not link.up or message.source in down
+                or message.destination in down):
+            link.messages_dropped += 1
+            return
+        message.delivered_at = network.sim._now
+        network._mailboxes[message.destination].put(message)
 
 
 class Network:
@@ -172,55 +242,16 @@ class Network:
             raise NodeDownError(f"node {message.source!r} is down")
         sim = self.sim
         message.sent_at = sim._now
-        # Direct Process construction (not sim.process()): one spawn per
-        # message makes the factory frame measurable.
-        Process(sim, self._transmit(message), daemon=True, eager=True)
-
-    def _transmit(self, message: Message) -> typing.Generator[Event, None, None]:
-        # One generator instance per message: locals are hoisted once and
-        # the NIC dict is probed a single time.
-        sim = self.sim
-        source = message.source
-        link = self.link(source, message.destination)
-        # Serialization at the sender's (single, shared) NIC.
-        nic = self._nics[source]
-        request = nic.request()
-        try:
-            # Grant wait inside the try: an interrupt (e.g. a node crash
-            # mid-send) must still return the NIC slot.
-            yield request
-            yield Timeout(sim, message.size / link.bandwidth)
-        finally:
-            nic.release(request)
-        link.bytes_sent += message.size
-        link.messages_sent += 1
-        # Inlined RngRegistry.jittered (same draw semantics: no stream
-        # consumption when jitter is off, clamped uniform otherwise).
-        # Latency streams are single-signature (every draw is this
-        # uniform), so they run through vectorised BatchSamplers; the
-        # sampler's uniform() applies the identical float transform, so
-        # latencies are bit-identical to sequential draws.
-        jitter = self.latency_jitter
-        mean = link.latency
-        if jitter <= 0:
-            latency = mean
-        else:
-            sampler = self._latency_rng.get(source)
-            if sampler is None:
-                sampler = self.rng.sampler(f"net.latency.{source}")
-                self._latency_rng[source] = sampler
-            latency = sampler.uniform(mean * (1.0 - jitter),
-                                      mean * (1.0 + jitter))
-            if latency < 0.0:
-                latency = 0.0
-        yield Timeout(sim, latency)
-        if (not link.up
-                or source in self._down_nodes
-                or message.destination in self._down_nodes):
-            link.messages_dropped += 1
-            return
-        message.delivered_at = sim.now
-        self._mailboxes[message.destination].put(message)
+        link = self.link(message.source, message.destination)
+        # Serialization at the sender's (single, shared) NIC: claim it and,
+        # when it is free, push the grant as ``request()`` would.  The
+        # passage's later steps run as the courier's callbacks.
+        request = self._nics[message.source].claim()
+        if request._value is not _PENDING:
+            sim._fifo.append((sim._now, sim._seq, request))
+            sim._seq += 1
+        passage = _Passage(self, message, link, request)
+        request.callbacks.append(passage._serialize)  # type: ignore[union-attr]
 
     def receive(self, name: str) -> Event:
         """Event firing with the next message addressed to ``name``."""

@@ -29,7 +29,7 @@ import typing
 
 # Runtime import is safe (core does not import sanitizer at runtime) and
 # keeps the per-event hot path free of repeated module lookups.
-from repro.sim.core import Process
+from repro.sim.core import Courier, Process
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.core import Simulation
@@ -58,13 +58,15 @@ class TieRecord(typing.NamedTuple):
 
 
 def event_owner(event: "Event") -> str:
-    """The label of the process(es) a popped event belongs to or resumes.
+    """The label of the activities a popped event belongs to or drives.
 
-    A Process completion is labelled by its own generator name, any other
-    event by the names of the processes its callbacks resume, else "-".
-    A completion pop so shares its label with the resumes that drove it,
-    and the tie auditor only counts ties between distinct processes.  No
-    memory addresses: labels must match across runs.
+    Its owners are processes and couriers.  A Process completion is
+    labelled by its own generator name, any other event by the names of
+    the owners its callbacks are bound to, else "-": a process by its
+    generator's name, a :class:`~repro.sim.core.Courier` by its class's
+    ``name``.  A completion pop so shares its label with the resumes
+    that drove it, and the tie auditor only counts ties between distinct
+    owners.  No memory addresses: labels must match across runs.
     """
     if isinstance(event, Process):
         return event.name
@@ -74,7 +76,7 @@ def event_owner(event: "Event") -> str:
     names: list[str] | None = None
     for callback in callbacks:
         target = getattr(callback, "__self__", None)
-        if isinstance(target, Process):
+        if isinstance(target, (Process, Courier)):
             if names is None:
                 names = [target.name]
             else:

@@ -2,6 +2,7 @@
 
 import pathlib
 import textwrap
+import types
 
 import repro
 from repro.analysis_tools.simlint import Linter, Severity, lint_paths
@@ -82,6 +83,16 @@ def test_custom_rule_subset():
     diags = linter.lint_source("CACHE = {}\nimport random\n",
                                relpath="peer/a.py")
     assert [d.rule for d in diags] == ["SL001"]  # SL008 rule not loaded
+
+
+def test_package_attributes_do_not_shadow_its_submodules():
+    # The package's ``flow_rules`` is its submodule, not a function of
+    # the same name re-exported over it.
+    from repro.analysis_tools.simlint import flow_rules
+
+    assert isinstance(flow_rules, types.ModuleType)
+    assert callable(flow_rules.flow_rules)
+    assert hasattr(flow_rules, "iter_functions")
 
 
 def test_repository_tree_is_clean():

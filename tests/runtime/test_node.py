@@ -5,6 +5,8 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.runtime.context import NetworkContext
 from repro.runtime.node import NodeBase
+from repro.sim.core import Process
+from repro.sim.sanitizer import TraceDigest
 
 
 def make_context():
@@ -189,3 +191,73 @@ def test_plain_handler_runs_once_the_tls_charge_ends():
     assert times["plain"] == pytest.approx(tls, abs=1e-6)
     assert times["waiting starts"] == pytest.approx(tls, abs=1e-6)
     assert times["waiting ends"] == pytest.approx(1.0 + tls, abs=1e-6)
+
+
+def test_messages_to_plain_handlers_build_no_process(monkeypatch):
+    # A ping and its pong: each message's passage and dispatch are event
+    # callbacks, not processes.
+    context = make_context()
+    a = make_node(context, "a")
+    b = make_node(context, "b")
+    pongs = []
+    b.on("ping", lambda message: b.send("a", "pong", message.payload))
+    a.on("pong", lambda message: pongs.append(message.payload))
+    built = []
+    original = Process.__init__
+
+    def counting_init(process, *args, **kwargs):
+        built.append(getattr(args[1], "__name__", "?"))
+        original(process, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    a.send("b", "ping", 7)
+    context.sim.run()
+    assert pongs == [7]
+    assert built == []
+
+
+def test_message_pops_keep_their_owner_labels():
+    # A waiting handler's own pops carry the dispatch's label, like the
+    # TLS charge before it.
+    context = make_context()
+    a = make_node(context, "a")
+    b = make_node(context, "b")
+    ends = []
+
+    def waiting(message):
+        yield context.sim.timeout(1.0)
+        ends.append(context.sim.now)
+
+    b.on("work", waiting)
+    context.sim.run()  # the receive loops' start-up pops
+    digest = TraceDigest(context.sim).attach()
+    a.send("b", "work", None)
+    context.sim.run()
+    assert len(ends) == 1
+    assert [(record.event_type, record.owner)
+            for record in digest.records] == [
+        ("Request", "_transmit"), ("Timeout", "_transmit"),
+        ("Timeout", "_transmit"), ("Event", "_receive_loop"),
+        ("Request", "_dispatch"), ("Timeout", "_dispatch"),
+        ("Timeout", "_dispatch")]
+    assert digest.records[-1].time == ends[0]
+
+
+def test_plain_handler_exception_raises_out_of_run():
+    # Raised in the pop that ends the TLS charge: no failed process is
+    # scheduled to carry it.
+    context = make_context()
+    a = make_node(context, "a")
+    b = make_node(context, "b")
+
+    def broken(message):
+        raise ValueError("handler bug")
+
+    b.on("ping", broken)
+    digest = TraceDigest(context.sim).attach()
+    a.send("b", "ping", None)
+    with pytest.raises(ValueError, match="handler bug"):
+        context.sim.run()
+    last = digest.records[-1]
+    assert (last.event_type, last.owner) == ("Timeout", "_dispatch")
+

@@ -79,21 +79,27 @@ def test_different_senders_do_not_serialize():
 
 def test_same_sender_fanout_serializes_at_the_nic():
     # One machine fanning out to two destinations shares its single NIC:
-    # the second message leaves only after the first finished transmitting.
+    # the second message leaves only after the first finished transmitting,
+    # and the burst hands every slot back.
     sim, network = make_network(latency=0.0, bandwidth=1_000_000)
     received = {}
 
     def receiver(sim, network, name):
-        message = yield network.receive(name)
-        received[name] = sim.now
+        for _ in range(2 if name == "b" else 1):
+            message = yield network.receive(name)
+            received[message.payload] = sim.now
 
     sim.process(receiver(sim, network, "b"))
     sim.process(receiver(sim, network, "c"))
+    nic = network.nic("a")
     network.send(Message("a", "b", "m", payload=1, size=1_000_000))
     network.send(Message("a", "c", "m", payload=2, size=1_000_000))
+    network.send(Message("a", "b", "m", payload=3, size=1_000_000))
+    assert (nic.count, nic.queue_length) == (1, 2)
     sim.run()
-    assert received["b"] == pytest.approx(1.0)
-    assert received["c"] == pytest.approx(2.0)
+    assert received == {1: pytest.approx(1.0), 2: pytest.approx(2.0),
+                        3: pytest.approx(3.0)}
+    assert (nic.count, nic.queue_length) == (0, 0)
 
 
 def test_unknown_destination_rejected():

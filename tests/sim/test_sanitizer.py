@@ -1,10 +1,12 @@
 """Tests for the runtime determinism sanitizer (trace digests, diffing)."""
 
 from repro.sim import RngRegistry, Simulation
+from repro.sim.core import Courier
 from repro.sim.sanitizer import (
     TraceDigest,
     diff_records,
     digest_run,
+    event_owner,
     run_twice_and_diff,
 )
 
@@ -74,6 +76,48 @@ def test_records_carry_owner_labels():
     assert any("pong" in owner for owner in owners)
     # No memory addresses: labels must be identical across runs.
     assert not any("0x" in owner for owner in owners)
+
+
+def test_courier_callback_labels_its_pop_with_the_courier_name():
+    sim = Simulation()
+    steps = []
+
+    class Relay(Courier):
+        __slots__ = ()
+        name = "relay"
+
+        def hop(self, event):
+            steps.append(sim.now)
+            sim.timeout(1.0).callbacks.append(self.land)
+
+        def land(self, event):
+            steps.append(sim.now)
+
+    sim.timeout(1.0).callbacks.append(Relay().hop)
+    digest = digest_run(sim, sim.run)
+    assert steps == [1.0, 2.0]
+    assert [(record.event_type, record.owner)
+            for record in digest.records] == [
+        ("Timeout", "relay"), ("Timeout", "relay")]
+
+
+def test_event_owner_joins_processes_and_couriers():
+    sim = Simulation()
+
+    class Relay(Courier):
+        __slots__ = ()
+        name = "relay"
+
+        def hop(self, event):
+            pass
+
+    def waiter():
+        yield shared
+
+    shared = sim.event()
+    sim.process(waiter(), eager=True)
+    shared.callbacks.append(Relay().hop)
+    assert event_owner(shared) == "waiter,relay"
 
 
 def test_run_twice_and_diff_identical():
